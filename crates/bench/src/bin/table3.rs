@@ -1,6 +1,6 @@
 //! Regenerates **Table III**: empirical online-runtime comparison between
 //! EA-DRL and DEMSC. The measured phase is the real-time prediction loop
-//! only (base-model one-step forecasts + weight computation + combination);
+//! only (guarded base-model sweep + weight computation + combination);
 //! EA-DRL's policy training and DEMSC's warm-up are excluded, exactly as
 //! in the paper.
 //!

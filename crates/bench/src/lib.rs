@@ -6,7 +6,10 @@
 //! methods of Table II) and the online-runtime measurement of Table III.
 
 use eadrl_core::baselines::{all_baselines, Demsc};
-use eadrl_core::{Combiner, DatasetEvaluation, EaDrlConfig, EaDrlPolicy, EvaluationProtocol};
+use eadrl_core::{
+    Combiner, DatasetEvaluation, EaDrlConfig, EaDrlPolicy, EvaluationProtocol, GuardConfig,
+    PoolGuard,
+};
 use eadrl_datasets::{catalog, generate, DatasetId};
 use eadrl_models::{
     gradient_boosting, lstm_forecaster, quick_pool, random_forest, stacked_lstm_forecaster,
@@ -220,21 +223,24 @@ pub fn evaluate_all(scale: Scale) -> Vec<DatasetEvaluation> {
 }
 
 /// Wall-clock seconds for the *online* phase of one combination method on
-/// one dataset: base-model one-step predictions plus weight computation
-/// and combination for every test step — the Table III measurement. The
-/// combiner must already be warmed up; the pool must already be fitted.
+/// one dataset: the guarded pool sweep ([`PoolGuard::sweep`], the
+/// production path `EaDrl::predict_next` serves through) plus weight
+/// computation and combination for every test step — the Table III
+/// measurement. The combiner must already be warmed up; the pool must
+/// already be fitted.
 pub fn time_online(
     combiner: &mut dyn Combiner,
     pool: &[Box<dyn Forecaster>],
     train: &[f64],
     test: &[f64],
 ) -> f64 {
+    let mut guard = PoolGuard::new(GuardConfig::default(), pool.len());
     let start = Instant::now();
     let mut history = train.to_vec();
     for &actual in test {
-        let preds: Vec<f64> = pool.iter().map(|m| m.predict_next(&history)).collect();
-        let _forecast = combiner.combine(&preds);
-        combiner.observe(&preds, actual);
+        let sweep = guard.sweep(pool, &history);
+        let _forecast = combiner.combine(&sweep.values);
+        combiner.observe(&sweep.values, actual);
         history.push(actual);
     }
     start.elapsed().as_secs_f64()

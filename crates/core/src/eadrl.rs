@@ -23,18 +23,24 @@ pub fn weight_entropy(weights: &[f64]) -> f64 {
         .sum()
 }
 
-/// What advances the policy's state window online.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OnlineState {
-    /// The window advances with the ensemble's own outputs — identical to
-    /// the training-time MDP transition (§II-B), so the online state
-    /// distribution matches what the policy was trained on. Default.
-    EnsembleOutputs,
-    /// The window advances with realized values when available (§II-E's
-    /// "let state s be X^ω"), falling back to ensemble outputs in
-    /// recursive multi-step forecasting.
-    Observed,
-}
+/// Sharpness `T` of the informed actor initialization (higher = more
+/// mass on the validation-best models).
+const INIT_TEMPERATURE: f64 = 8.0;
+/// Sharpness levels of the static informed-weighting candidates.
+const STATIC_TEMPERATURES: [f64; 4] = [3.0, 6.0, 10.0, 15.0];
+/// Greedy-rollout evaluation cadence (episodes) for checkpointing.
+const EVAL_EVERY: usize = 5;
+/// Fraction of the validation segment held out from the training
+/// environment and used *only* to score checkpoints. Selecting on data
+/// the policy trained on promotes overfit checkpoints; this tail
+/// measures generalization.
+const SELECTION_HOLDOUT: f64 = 0.4;
+/// Relative holdout-RMSE improvement a *trained* restart must show over
+/// the best static candidate to be deployed. Trained checkpoints get many
+/// more selection attempts than the handful of static candidates, so
+/// without a margin the winner's curse lets noisy checkpoints displace
+/// robust static weightings.
+const SELECTION_MARGIN: f64 = 0.08;
 
 /// Hyper-parameters of EA-DRL.
 ///
@@ -60,37 +66,14 @@ pub struct EaDrlConfig {
     pub restarts: usize,
     /// Informed actor initialization: start the policy at the
     /// performance-based weighting `softmax(-T · e_i / min_j e_j)` over the
-    /// validation errors `e_i` (T = `init_temperature`), by setting the
-    /// actor's output bias. DDPG then refines the weighting and adds the
-    /// state dependence. Cold starts must otherwise discover a 43-way
-    /// concentrated weight vector from undirected noise — a needle-in-a-
-    /// haystack exploration problem on short validation segments.
+    /// validation errors `e_i` (T = 8), by setting the actor's output
+    /// bias, and let the same weighting at four other sharpness levels
+    /// compete as static candidates in the selection. DDPG then refines
+    /// the weighting and adds the state dependence. Cold starts must
+    /// otherwise discover a 43-way concentrated weight vector from
+    /// undirected noise — a needle-in-a-haystack exploration problem on
+    /// short validation segments.
     pub informed_init: bool,
-    /// Sharpness of the informed initialization (higher = more mass on the
-    /// validation-best models).
-    pub init_temperature: f64,
-    /// Online state-window semantics.
-    pub online_state: OnlineState,
-    /// Optional pool pruning before policy learning — the paper's §III-B
-    /// future-work hook ("incorporate a pruning step into our framework,
-    /// so that only relevant models take part in the weighting"). When
-    /// set, only this fraction of the pool (the most accurate members on
-    /// the validation segment) takes part in the combination; the rest
-    /// are discarded after fitting.
-    pub prune_fraction: Option<f64>,
-    /// Greedy-rollout evaluation cadence (episodes) for checkpointing.
-    pub eval_every: usize,
-    /// Fraction of the validation segment held out from the training
-    /// environment and used *only* to score checkpoints. Selecting on data
-    /// the policy trained on promotes overfit checkpoints; this tail
-    /// measures generalization.
-    pub selection_holdout: f64,
-    /// Relative holdout-RMSE improvement a *trained* checkpoint must show
-    /// over the best static candidate to be deployed. Trained checkpoints
-    /// get many more selection attempts than the handful of static
-    /// candidates, so without a margin the winner's curse lets noisy
-    /// checkpoints displace robust static weightings.
-    pub selection_margin: f64,
     /// Graceful-degradation policy for the online serving path (per-model
     /// `catch_unwind`, non-finite masking, quarantine/re-entry) — see
     /// [`crate::guard`].
@@ -108,13 +91,7 @@ impl Default for EaDrlConfig {
             reward: RewardKind::Rank { normalize: true },
             val_fraction: 0.25,
             restarts: 2,
-            eval_every: 5,
-            selection_holdout: 0.4,
-            selection_margin: 0.08,
             informed_init: true,
-            init_temperature: 8.0,
-            online_state: OnlineState::EnsembleOutputs,
-            prune_fraction: None,
             guard: GuardConfig::default(),
             ddpg: DdpgConfig {
                 gamma: 0.9,
@@ -195,8 +172,8 @@ impl EaDrlPolicy {
 
     /// Rebuilds a deployable policy from a snapshot. The snapshot's
     /// topology (ω, hidden sizes, squash) overrides the corresponding
-    /// fields of `config`; everything else (e.g. online-state semantics)
-    /// comes from `config`.
+    /// fields of `config`; everything else (e.g. the reward and the
+    /// guard) comes from `config`.
     pub fn restore(mut config: EaDrlConfig, snapshot: &PolicySnapshot) -> EaDrlPolicy {
         config.omega = snapshot.omega;
         config.ddpg.hidden = snapshot.hidden.clone();
@@ -255,74 +232,47 @@ impl EaDrlPolicy {
     pub fn refine(&mut self, preds: &[Vec<f64>], actuals: &[f64], episodes: usize) -> bool {
         let _span = eadrl_obs::span("eadrl.warm_up");
         let omega = self.config.omega;
-        if actuals.len() <= omega + 1 || preds.is_empty() {
-            eadrl_obs::warn(
-                "eadrl.warm_up.skipped",
-                &[("val_len", actuals.len().into()), ("omega", omega.into())],
-            );
+        if segment_too_short(omega, preds, actuals) {
             return false;
         }
-        let m = preds[0].len();
         let Some(mut agent) = self.agent.take() else {
             return false;
         };
-        if agent.action_dim() != m {
+        if agent.action_dim() != preds[0].len() {
             // The pool width changed under the deployed policy; the old
             // actor cannot score this matrix.
             self.agent = Some(agent);
             return false;
         }
-        let holdout = self.config.selection_holdout.clamp(0.0, 0.6);
-        let head_len = ((preds.len() as f64) * (1.0 - holdout)).round() as usize;
-        let head_len = head_len.clamp(omega + 2, preds.len());
-        let mut env = EnsembleEnv::new(
-            preds[..head_len].to_vec(),
-            actuals[..head_len].to_vec(),
-            omega,
-            self.config.reward,
-            self.config.max_iter,
-        );
-        let cadence = self.config.eval_every.max(1);
+        let head_len = holdout_start(omega, preds.len());
         let init_score = greedy_rollout_rmse(&agent, preds, actuals, omega, head_len);
         let mut best = (init_score, agent.actor_params());
         let mut best_source = String::from("snapshot");
         // The static candidates derisk the refinement exactly as they
         // derisk the offline warm-up: the informed weighting, recomputed
         // on the fresh segment, competes with the untouched and the
-        // refined actor on the same holdout. They cost four greedy
-        // rollouts — no training episodes.
-        if self.config.informed_init {
-            for temperature in [3.0, 6.0, 10.0, 15.0] {
-                let mut candidate = DdpgAgent::new(omega, m, self.config.ddpg.clone());
-                let bias = informed_logits(preds, actuals, temperature, self.config.ddpg.squash);
-                candidate.init_actor_output_bias(&bias);
-                let score = greedy_rollout_rmse(&candidate, preds, actuals, omega, head_len);
-                eadrl_obs::event(
-                    "eadrl.candidate",
-                    Level::Debug,
-                    &[
-                        ("temperature", temperature.into()),
-                        ("holdout_rmse", score.into()),
-                    ],
-                );
-                if score < best.0 {
-                    best = (score, candidate.actor_params());
-                    best_source = format!("static(T={temperature})");
-                }
+        // refined actor on the same holdout.
+        for (temperature, score, mut candidate) in
+            static_candidates(&self.config, preds, actuals, head_len)
+        {
+            if score < best.0 {
+                best = (score, candidate.actor_params());
+                best_source = format!("static(T={temperature})");
             }
         }
-        let mut curve = Vec::with_capacity(episodes);
-        for episode in 0..episodes {
-            curve.push(agent.run_episode(&mut env, true));
-            if (episode + 1) % cadence == 0 || episode + 1 == episodes {
-                let score = greedy_rollout_rmse(&agent, preds, actuals, omega, head_len);
-                if score < best.0 {
-                    best = (score, agent.actor_params());
-                    best_source = String::from("warm_start");
-                }
-            }
+        let pre_training_best = best.0;
+        self.learning_curve = train_checkpointed(
+            &self.config,
+            &mut agent,
+            preds,
+            actuals,
+            head_len,
+            episodes,
+            &mut best,
+        );
+        if best.0 < pre_training_best {
+            best_source = String::from("warm_start");
         }
-        self.learning_curve = curve;
         eadrl_obs::event(
             "eadrl.selection",
             Level::Info,
@@ -347,53 +297,29 @@ impl Combiner for EaDrlPolicy {
     fn warm_up(&mut self, preds: &[Vec<f64>], actuals: &[f64]) {
         let _span = eadrl_obs::span("eadrl.warm_up");
         let omega = self.config.omega;
-        if actuals.len() <= omega + 1 || preds.is_empty() {
-            eadrl_obs::warn(
-                "eadrl.warm_up.skipped",
-                &[("val_len", actuals.len().into()), ("omega", omega.into())],
-            );
+        if segment_too_short(omega, preds, actuals) {
             return; // Too little data to train; stay uniform.
         }
         let m = preds[0].len();
-        // Split the validation segment: the head trains the policy, the
-        // tail scores checkpoints (generalization-based model selection).
-        let holdout = self.config.selection_holdout.clamp(0.0, 0.6);
-        let head_len = ((preds.len() as f64) * (1.0 - holdout)).round() as usize;
-        let head_len = head_len.clamp(omega + 2, preds.len());
+        let head_len = holdout_start(omega, preds.len());
         // Model selection: several independent DDPG trainings, with the
         // actor checkpointed at its best greedy RMSE on the held-out tail.
-        // DDPG's performance oscillates between episodes, so "last actor"
-        // is routinely worse than "best actor seen".
         let mut best: Option<(f64, Vec<f64>)> = None;
         let mut best_source = String::from("none");
         let mut selected_agent = None;
-        // Static candidates: the informed weighting at several sharpness
-        // levels, each expressed as an actor whose output bias encodes the
-        // weighting. These derisk the RL training — if no trained
-        // checkpoint beats the best static weighting on the holdout, EA-DRL
-        // deploys that weighting (still a policy network, still Algorithm 1).
-        if self.config.informed_init {
-            for temperature in [3.0, 6.0, 10.0, 15.0] {
-                let mut agent = DdpgAgent::new(omega, m, self.config.ddpg.clone());
-                let bias = informed_logits(preds, actuals, temperature, self.config.ddpg.squash);
-                agent.init_actor_output_bias(&bias);
-                let score = greedy_rollout_rmse(&agent, preds, actuals, omega, head_len);
-                eadrl_obs::event(
-                    "eadrl.candidate",
-                    Level::Debug,
-                    &[
-                        ("temperature", temperature.into()),
-                        ("holdout_rmse", score.into()),
-                    ],
-                );
-                if best.as_ref().is_none_or(|(b, _)| score < *b) {
-                    best = Some((score, agent.actor_params()));
-                    best_source = format!("static(T={temperature})");
-                    selected_agent = Some(agent);
-                }
+        // The static candidates derisk the RL training — if no trained
+        // checkpoint beats the best static weighting on the holdout,
+        // EA-DRL deploys that weighting (still a policy network, still
+        // Algorithm 1).
+        for (temperature, score, mut agent) in
+            static_candidates(&self.config, preds, actuals, head_len)
+        {
+            if best.as_ref().is_none_or(|(b, _)| score < *b) {
+                best = Some((score, agent.actor_params()));
+                best_source = format!("static(T={temperature})");
+                selected_agent = Some(agent);
             }
         }
-        self.learning_curve.clear();
         // Each restart is a pure function of its index (the DDPG seed is
         // derived from it), so the restarts fan out over the deterministic
         // worker pool: static index-ordered chunks, per-worker telemetry
@@ -405,36 +331,27 @@ impl Combiner for EaDrlPolicy {
         let restart_results = eadrl_par::par_map_indexed(
             (0..config.restarts.max(1)).collect::<Vec<usize>>(),
             |_, restart| {
-                let mut env = EnsembleEnv::new(
-                    preds[..head_len].to_vec(),
-                    actuals[..head_len].to_vec(),
-                    omega,
-                    config.reward,
-                    config.max_iter,
-                );
                 let mut ddpg = config.ddpg.clone();
                 ddpg.seed = ddpg.seed.wrapping_add(1000 * restart as u64);
                 let squash = ddpg.squash;
                 let mut agent = DdpgAgent::new(omega, m, ddpg);
                 if config.informed_init {
-                    let bias = informed_logits(preds, actuals, config.init_temperature, squash);
+                    let bias = informed_logits(preds, actuals, INIT_TEMPERATURE, squash);
                     agent.init_actor_output_bias(&bias);
                 }
-                let mut curve = Vec::with_capacity(config.episodes);
-                let cadence = config.eval_every.max(1);
                 // Episode-0 checkpoint: the informed initialization itself
                 // competes in the selection.
                 let init_score = greedy_rollout_rmse(&agent, preds, actuals, omega, head_len);
                 let mut restart_best = (init_score, agent.actor_params());
-                for episode in 0..config.episodes {
-                    curve.push(agent.run_episode(&mut env, true));
-                    if (episode + 1) % cadence == 0 || episode + 1 == config.episodes {
-                        let score = greedy_rollout_rmse(&agent, preds, actuals, omega, head_len);
-                        if score < restart_best.0 {
-                            restart_best = (score, agent.actor_params());
-                        }
-                    }
-                }
+                let curve = train_checkpointed(
+                    config,
+                    &mut agent,
+                    preds,
+                    actuals,
+                    head_len,
+                    config.episodes,
+                    &mut restart_best,
+                );
                 eadrl_obs::event(
                     "eadrl.restart",
                     Level::Info,
@@ -457,15 +374,15 @@ impl Combiner for EaDrlPolicy {
             Ok(results) => results,
             Err(err) => std::panic::resume_unwind(Box::new(err.to_string())),
         };
+        let margin = 1.0 - SELECTION_MARGIN;
         for (restart, (curve, (score, params), mut agent)) in
             restart_results.into_iter().enumerate()
         {
-            // The learning curve documents the (first restart's) training
+            // The learning curve documents the first restart's training
             // run regardless of which candidate is deployed.
-            if self.learning_curve.is_empty() {
+            if restart == 0 {
                 self.learning_curve = curve;
             }
-            let margin = 1.0 - self.config.selection_margin.clamp(0.0, 0.5);
             if best.as_ref().is_none_or(|(b, _)| score < *b * margin) {
                 agent.load_actor_params(&params);
                 best = Some((score, params));
@@ -509,16 +426,10 @@ impl Combiner for EaDrlPolicy {
         w
     }
 
-    fn observe(&mut self, preds: &[f64], actual: f64) {
-        // With `OnlineState::Observed` (§II-E's reading) the realized
-        // value advances the window when available; the default
-        // `EnsembleOutputs` matches the training-time transition (§II-B),
-        // which keeps the online state distribution in-domain for the
-        // policy network and measures slightly better end-to-end.
-        if self.config.online_state == OnlineState::Observed && actual.is_finite() {
-            self.push_output(actual);
-            return;
-        }
+    fn observe(&mut self, preds: &[f64], _actual: f64) {
+        // The window advances with the ensemble's own output — the
+        // training-time transition (§II-B) — so the online state
+        // distribution stays in-domain for the policy network.
         // The cached weighting is read in place — no per-step clone. The
         // uniform fallback multiplies each prediction by the same
         // `1.0 / m` factor a materialized uniform vector would hold, in
@@ -619,6 +530,97 @@ fn greedy_rollout_rmse(
     eadrl_timeseries::metrics::rmse(&truth, &out)
 }
 
+/// True, with an `eadrl.warm_up.skipped` warning, when the validation
+/// segment is too short to train a policy on.
+fn segment_too_short(omega: usize, preds: &[Vec<f64>], actuals: &[f64]) -> bool {
+    let too_short = actuals.len() <= omega + 1 || preds.is_empty();
+    if too_short {
+        eadrl_obs::warn(
+            "eadrl.warm_up.skipped",
+            &[("val_len", actuals.len().into()), ("omega", omega.into())],
+        );
+    }
+    too_short
+}
+
+/// Where the selection holdout starts in a length-`n` validation segment:
+/// the head before it trains the policy, the tail scores checkpoints.
+fn holdout_start(omega: usize, n: usize) -> usize {
+    let head_len = ((n as f64) * (1.0 - SELECTION_HOLDOUT)).round() as usize;
+    head_len.clamp(omega + 2, n)
+}
+
+/// The static candidates: the informed weighting at each of
+/// [`STATIC_TEMPERATURES`] as an untrained actor whose output bias
+/// encodes it, scored on the holdout (one `eadrl.candidate` event each).
+/// Yields `(temperature, holdout RMSE, actor)` in temperature order —
+/// lazily, so only the candidates a caller keeps stay in memory; nothing
+/// without `informed_init`. They cost four greedy rollouts and no
+/// training episodes.
+fn static_candidates<'a>(
+    config: &'a EaDrlConfig,
+    preds: &'a [Vec<f64>],
+    actuals: &'a [f64],
+    head_len: usize,
+) -> impl Iterator<Item = (f64, f64, DdpgAgent)> + 'a {
+    let temperatures: &[f64] = if config.informed_init {
+        &STATIC_TEMPERATURES
+    } else {
+        &[]
+    };
+    temperatures.iter().map(move |&temperature| {
+        let mut agent = DdpgAgent::new(config.omega, preds[0].len(), config.ddpg.clone());
+        let bias = informed_logits(preds, actuals, temperature, config.ddpg.squash);
+        agent.init_actor_output_bias(&bias);
+        let score = greedy_rollout_rmse(&agent, preds, actuals, config.omega, head_len);
+        eadrl_obs::event(
+            "eadrl.candidate",
+            Level::Debug,
+            &[
+                ("temperature", temperature.into()),
+                ("holdout_rmse", score.into()),
+            ],
+        );
+        (temperature, score, agent)
+    })
+}
+
+/// Trains `agent` for `episodes` episodes on the head of the validation
+/// segment, scoring the greedy actor on the holdout every [`EVAL_EVERY`]
+/// episodes and after the last one; a checkpoint that beats `best`
+/// replaces it. DDPG's performance oscillates between episodes, so the
+/// best actor seen routinely beats the last one. Returns the learning
+/// curve.
+fn train_checkpointed(
+    config: &EaDrlConfig,
+    agent: &mut DdpgAgent,
+    preds: &[Vec<f64>],
+    actuals: &[f64],
+    head_len: usize,
+    episodes: usize,
+    best: &mut (f64, Vec<f64>),
+) -> Vec<EpisodeStats> {
+    let omega = config.omega;
+    let mut env = EnsembleEnv::new(
+        preds[..head_len].to_vec(),
+        actuals[..head_len].to_vec(),
+        omega,
+        config.reward,
+        config.max_iter,
+    );
+    let mut curve = Vec::with_capacity(episodes);
+    for episode in 0..episodes {
+        curve.push(agent.run_episode(&mut env, true));
+        if (episode + 1) % EVAL_EVERY == 0 || episode + 1 == episodes {
+            let score = greedy_rollout_rmse(agent, preds, actuals, omega, head_len);
+            if score < best.0 {
+                *best = (score, agent.actor_params());
+            }
+        }
+    }
+    curve
+}
+
 /// The complete EA-DRL forecaster: a pool of heterogeneous base models plus
 /// the learned aggregation policy.
 pub struct EaDrl {
@@ -710,44 +712,6 @@ impl EaDrl {
         let mut preds = self.validation_predictions(fit_part, val_part);
         crate::experiment::sanitize_predictions(&mut preds, fit_part);
 
-        // Optional pruning (paper future work): keep only the fraction of
-        // the pool that performed best on the validation segment.
-        if let Some(fraction) = self.policy.config().prune_fraction {
-            let keep = ((self.pool.len() as f64) * fraction.clamp(0.05, 1.0)).ceil() as usize;
-            let keep = keep.clamp(1, self.pool.len());
-            if keep < self.pool.len() {
-                let m = self.pool.len();
-                let mut sse = vec![0.0; m];
-                for (p, &a) in preds.iter().zip(val_part.iter()) {
-                    for (s, &v) in sse.iter_mut().zip(p.iter()) {
-                        let e = v - a;
-                        *s += e * e;
-                    }
-                }
-                let mut order: Vec<usize> = (0..m).collect();
-                order.sort_by(|&a, &b| {
-                    sse[a]
-                        .partial_cmp(&sse[b])
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                });
-                let mut selected = order[..keep].to_vec();
-                selected.sort_unstable();
-                let mut kept_models = Vec::with_capacity(keep);
-                for (idx, model) in std::mem::take(&mut self.pool).into_iter().enumerate() {
-                    if selected.contains(&idx) {
-                        kept_models.push(model);
-                    } else {
-                        self.dropped.push(format!("{} (pruned)", model.name()));
-                    }
-                }
-                self.pool = kept_models;
-                preds = preds
-                    .into_iter()
-                    .map(|row| selected.iter().map(|&i| row[i]).collect())
-                    .collect();
-            }
-        }
-
         eadrl_obs::event_with("eadrl.fit.pool", Level::Info, || {
             vec![
                 ("kept".to_string(), self.pool.len().into()),
@@ -758,7 +722,7 @@ impl EaDrl {
             ]
         });
         self.policy.warm_up(&preds, val_part);
-        // Health tracking starts fresh for the (possibly pruned) pool.
+        // Health tracking starts fresh for the fitted pool.
         self.guard.reset(self.pool.len());
         self.fitted = true;
         Ok(())
@@ -1001,44 +965,6 @@ mod tests {
         assert!(!policy.is_trained());
         let w = policy.weights(4);
         assert_eq!(w, vec![0.25; 4]);
-    }
-
-    #[test]
-    fn pruning_shrinks_the_pool_to_the_best_members() {
-        let series = seasonal_series(320);
-        // Pool: two sensible models plus a hopeless constant-zero one.
-        #[derive(Debug, Clone)]
-        struct Zero;
-        impl Forecaster for Zero {
-            fn name(&self) -> &str {
-                "Zero"
-            }
-            fn fit(&mut self, _s: &[f64]) -> Result<(), eadrl_models::ModelError> {
-                Ok(())
-            }
-            fn predict_next(&self, _h: &[f64]) -> f64 {
-                0.0
-            }
-            fn box_clone(&self) -> Box<dyn Forecaster> {
-                Box::new(self.clone())
-            }
-        }
-        let mut pool = tiny_pool();
-        pool.push(Box::new(Zero));
-        let mut config = quick_config(8);
-        config.prune_fraction = Some(0.5); // keep ceil(4 * 0.5) = 2 models
-        let mut model = EaDrl::new(pool, config);
-        model.fit(&series[..260]).unwrap();
-        assert_eq!(model.n_models(), 2);
-        assert!(
-            model.dropped_models().iter().any(|n| n.contains("Zero")),
-            "the hopeless model must be pruned: {:?}",
-            model.dropped_models()
-        );
-        // Weights still form a distribution over the pruned pool.
-        let w = model.current_weights();
-        assert_eq!(w.len(), 2);
-        assert!((w.iter().sum::<f64>() - 1.0).abs() < 1e-9);
     }
 
     #[test]

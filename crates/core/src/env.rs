@@ -52,7 +52,7 @@ pub enum RewardKind {
 
 /// Entropy of a weight vector normalized to `[0, 1]` (1 = uniform); the
 /// diversity bonus of [`RewardKind::RankWithDiversity`].
-pub fn weight_entropy(weights: &[f64]) -> f64 {
+fn weight_entropy(weights: &[f64]) -> f64 {
     if weights.len() < 2 {
         return 0.0;
     }

@@ -10,12 +10,19 @@
 //!   Figure 2a available for the ablation);
 //! * [`eadrl::EaDrl`] — the end-to-end model: a pool of base forecasters,
 //!   offline DDPG policy learning, and the online forecasting procedure of
-//!   Algorithm 1;
+//!   Algorithm 1. [`eadrl::EaDrlPolicy`]'s offline `warm_up` and online
+//!   `refine` share one train-and-select routine: a holdout split of the
+//!   validation segment, static informed-weighting candidates, and
+//!   checkpointed DDPG episodes, all configured by [`EaDrlConfig`];
 //! * [`combiner::Combiner`] — the interface shared by EA-DRL and every
 //!   baseline aggregation method of the evaluation (SE, SWE, EWA, FS, OGD,
 //!   MLPOL, Stacking, Clus, Top.sel, DEMSC);
 //! * [`experiment`] — the evaluation protocol of §III: 75/25 split, pool
-//!   fitting, warm-up on a validation tail, online rolling evaluation.
+//!   fitting, warm-up on a validation tail, online rolling evaluation;
+//! * [`guard`], [`online`], [`persist`], [`parallel`] — hardened serving
+//!   (per-member fault isolation), drift-triggered policy refresh, policy
+//!   snapshots, and the deterministic parallel pool fit and prediction
+//!   matrix.
 
 pub mod baselines;
 pub mod combiner;
@@ -26,10 +33,9 @@ pub mod guard;
 pub mod online;
 pub mod parallel;
 pub mod persist;
-pub mod tuning;
 
 pub use combiner::{run_combiner, run_combiner_traced, weight_churn, Combiner};
-pub use eadrl::{weight_entropy, EaDrl, EaDrlConfig, EaDrlPolicy, OnlineState};
+pub use eadrl::{weight_entropy, EaDrl, EaDrlConfig, EaDrlPolicy};
 pub use env::{EnsembleEnv, RewardKind};
 pub use experiment::{
     multi_horizon_rmse, sanitize_predictions, DatasetEvaluation, EvaluationProtocol, MethodResult,
@@ -40,4 +46,3 @@ pub use guard::{
 pub use online::{AdaptiveEaDrl, RefreshStrategy, RefreshTrigger};
 pub use parallel::{fit_pool, prediction_matrix};
 pub use persist::{PersistError, PolicySnapshot};
-pub use tuning::{tune, TuningGrid, TuningResult};

@@ -10,6 +10,11 @@
 //! flip (the RMSE bound the cold path established) while running far
 //! fewer training episodes per refresh.
 //!
+//! Finally, `warm_up` (informed and cold initialization) and `refine`
+//! are pinned bitwise to a recorded FNV-1a digest of the deployed actor,
+//! the learning curve and the selection telemetry, so a refactor of the
+//! training-and-selection code cannot silently move a number.
+//!
 //! Everything lives in ONE `#[test]` because the thread count comes from
 //! an environment variable: tests in one binary may run concurrently,
 //! and `set_var` must not race another assertion.
@@ -49,6 +54,48 @@ fn regime_stream(n: usize, flip: usize) -> (Vec<Vec<f64>>, Vec<f64>) {
         })
         .collect();
     (preds, actuals)
+}
+
+/// FNV-1a over a byte stream.
+fn fnv1a(hash: &mut u64, bytes: &[u8]) {
+    for &byte in bytes {
+        *hash ^= u64::from(byte);
+        *hash = hash.wrapping_mul(0x0100_0000_01b3);
+    }
+}
+
+/// Digest of one policy-learning call: the deployed actor's parameters,
+/// the learning curve, and every `eadrl.candidate` / `eadrl.restart` /
+/// `eadrl.selection` payload in emission order. Clears the sink.
+fn learning_digest(policy: &mut EaDrlPolicy, sink: &RingSink) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325;
+    let snapshot = policy.snapshot().expect("trained policy must snapshot");
+    for p in &snapshot.params {
+        fnv1a(&mut hash, &p.to_bits().to_le_bytes());
+    }
+    for ep in policy.learning_curve() {
+        for x in [
+            ep.total_reward,
+            ep.avg_reward,
+            ep.critic_loss,
+            ep.actor_objective,
+        ] {
+            fnv1a(&mut hash, &x.to_bits().to_le_bytes());
+        }
+        fnv1a(&mut hash, &(ep.steps as u64).to_le_bytes());
+    }
+    for e in sink.events() {
+        if matches!(
+            e.name.as_str(),
+            "eadrl.candidate" | "eadrl.restart" | "eadrl.selection"
+        ) {
+            // Debug-formatting of f64 round-trips, so this covers the
+            // payload bits and the field order.
+            fnv1a(&mut hash, format!("{} {:?}", e.name, e.fields).as_bytes());
+        }
+    }
+    sink.clear();
+    hash
 }
 
 /// One warm-up + online run at the current thread count, capturing every
@@ -194,5 +241,34 @@ fn parallel_restarts_and_warm_start_refresh_match_serial_contract() {
     assert!(
         adaptive_post < frozen_post,
         "warm-start refresh did not help after drift: adaptive {adaptive_post:.3} vs frozen {frozen_post:.3}"
+    );
+
+    // --- Part 3: warm-up and refine are pinned bit for bit. ---
+    let sink = Arc::new(RingSink::new(8192));
+    eadrl_obs::set_sink(sink.clone());
+    eadrl_obs::set_level(Some(Level::Debug));
+    let mut informed = EaDrlPolicy::new(quick_config(2));
+    informed.warm_up(wp, wa);
+    let informed_digest = learning_digest(&mut informed, &sink);
+    assert!(
+        informed.refine(&preds[150..260], &actuals[150..260], warm_episodes),
+        "a trained policy with a matching pool width must refine"
+    );
+    let refined_digest = learning_digest(&mut informed, &sink);
+    let mut cold = EaDrlPolicy::new(EaDrlConfig {
+        informed_init: false,
+        ..quick_config(2)
+    });
+    cold.warm_up(wp, wa);
+    let cold_digest = learning_digest(&mut cold, &sink);
+    assert_eq!(
+        [informed_digest, refined_digest, cold_digest],
+        [
+            0x13ea_598a_0bad_2a48,
+            0xd38c_430f_1891_3cce,
+            0x829c_109a_68c2_2b17
+        ],
+        "policy learning drifted from the recorded digests \
+         [informed warm_up, refine, cold warm_up]"
     );
 }

@@ -1,7 +1,7 @@
 //! Cross-crate integration: the full EA-DRL pipeline from synthetic data
 //! through pool fitting, policy learning and online forecasting.
 
-use eadrl::core::{EaDrl, EaDrlConfig, OnlineState};
+use eadrl::core::{EaDrl, EaDrlConfig};
 use eadrl::datasets::{generate, DatasetId};
 use eadrl::models::{quick_pool, Forecaster, Naive};
 use eadrl::timeseries::metrics::rmse;
@@ -68,17 +68,15 @@ fn weights_remain_a_distribution_throughout_online_use() {
 fn online_state_variants_both_forecast_finitely() {
     let series = generate(DatasetId::EnergyTempOut, 380, 5);
     let (train, test) = series.split(0.75);
-    for state in [OnlineState::EnsembleOutputs, OnlineState::Observed] {
-        let mut config = quick_config(8);
-        config.online_state = state;
-        let mut model = EaDrl::new(quick_pool(5, 144, 5), config);
-        model.fit(train).unwrap();
-        let mut history = train.to_vec();
-        for &actual in test.iter().take(30) {
-            let p = model.predict_next(&history);
-            assert!(p.is_finite(), "{state:?} produced non-finite forecast");
-            history.push(actual);
-        }
+    // The policy's state window advances with the ensemble's own
+    // outputs (§II-B), whether or not realized values arrive.
+    let mut model = EaDrl::new(quick_pool(5, 144, 5), quick_config(8));
+    model.fit(train).unwrap();
+    let mut history = train.to_vec();
+    for &actual in test.iter().take(30) {
+        let p = model.predict_next(&history);
+        assert!(p.is_finite(), "non-finite forecast");
+        history.push(actual);
     }
 }
 
