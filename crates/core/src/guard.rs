@@ -17,6 +17,11 @@
 //!   **quarantined**: excluded from the combination but still probed
 //!   each step, re-entering after
 //!   [`GuardConfig::reentry_clean_calls`] consecutive clean probes;
+//! * members with a serving stream ([`Forecaster::stream`]: ARIMA,
+//!   ETS) are called through it on [`crate::EaDrl`]'s serving path: the
+//!   push of the new values and the forecast run inside the same guarded
+//!   region, and a stream that panics is dropped — its member serves
+//!   statelessly until the next fit;
 //! * every masking decision is observable: `eadrl.degraded` (per
 //!   degraded step, with the effective weights actually served) and
 //!   `eadrl.quarantine` (enter/exit transitions) telemetry events.
@@ -26,7 +31,7 @@
 //! and emits no additional telemetry — the committed quickstart
 //! baselines stay byte-identical.
 
-use eadrl_models::{fallback_forecast, Forecaster, PredictError};
+use eadrl_models::{fallback_forecast, ForecastStream, Forecaster, PredictError};
 use eadrl_obs::Level;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -155,13 +160,53 @@ impl PoolGuard {
     /// Calls every pool member once under the guard and updates health.
     ///
     /// `history` is the (already sanitized) input passed to each model.
+    /// Every member reads the whole history ([`guarded_call`]); the
+    /// serving path of [`crate::EaDrl`] uses the streaming form of the
+    /// same loop instead.
     pub fn sweep(&mut self, pool: &[Box<dyn Forecaster>], history: &[f64]) -> GuardedSweep {
+        let budget = self.config.latency_budget_us;
+        self.sweep_with(pool, history, |_, model| {
+            guarded_call(model, history, budget)
+        })
+    }
+
+    /// [`PoolGuard::sweep`] for a caller that keeps one
+    /// [`MemberStream`] per member across calls: a member with a live
+    /// stream is fed only the values of `history` it has not consumed
+    /// yet and answers from its stream; every other member reads the
+    /// whole history. The guarded region (budget check, `catch_unwind`,
+    /// non-finite classification, health tracking) is the same. A
+    /// stream that panics is dropped and its member serves statelessly
+    /// from then on ([`MemberStream::Lost`]).
+    ///
+    /// `streams` must be in step with `history`: every live stream has
+    /// consumed a prefix of it (see [`crate::EaDrl::predict_next`]).
+    pub(crate) fn sweep_streams(
+        &mut self,
+        pool: &[Box<dyn Forecaster>],
+        streams: &mut [MemberStream],
+        history: &[f64],
+    ) -> GuardedSweep {
+        let budget = self.config.latency_budget_us;
+        self.sweep_with(pool, history, |i, model| {
+            guarded_stream_call(model, &mut streams[i], history, budget)
+        })
+    }
+
+    /// The one sweep loop: `call(i, model)` is member `i`'s guarded
+    /// call; its outcome updates health and fills the sweep.
+    fn sweep_with(
+        &mut self,
+        pool: &[Box<dyn Forecaster>],
+        history: &[f64],
+        mut call: impl FnMut(usize, &dyn Forecaster) -> Result<f64, FaultClass>,
+    ) -> GuardedSweep {
         let substitute = fallback_forecast(history);
         let mut values = Vec::with_capacity(pool.len());
         let mut active = Vec::with_capacity(pool.len());
         let mut faults = Vec::new();
         for (i, model) in pool.iter().enumerate() {
-            let outcome = guarded_call(model.as_ref(), history, self.config.latency_budget_us);
+            let outcome = call(i, model.as_ref());
             match outcome {
                 Ok(value) => {
                     let in_quarantine = self.record_clean(i, model.name());
@@ -245,14 +290,90 @@ pub fn guarded_call(
     history: &[f64],
     budget_us: Option<u64>,
 ) -> Result<f64, FaultClass> {
-    if let (Some(budget), Some(cost)) = (budget_us, model.cost_hint_us()) {
-        if cost > budget {
-            return Err(FaultClass::BudgetExceeded);
-        }
-    }
+    check_budget(model, budget_us)?;
     // A fitted model is immutable while predicting (Forecaster contract),
     // so observing it after a caught panic cannot expose broken state.
-    match catch_unwind(AssertUnwindSafe(|| model.try_predict_next(history))) {
+    classify(catch_unwind(AssertUnwindSafe(|| {
+        model.try_predict_next(history)
+    })))
+}
+
+/// One member's serving state between calls of
+/// [`PoolGuard::sweep_streams`].
+pub(crate) enum MemberStream {
+    /// The model has no stream ([`Forecaster::stream`] is `None`): it
+    /// reads the whole history on every call.
+    Stateless,
+    /// A live stream that has consumed the first `consumed` values of
+    /// the served history.
+    Live {
+        stream: Box<dyn ForecastStream>,
+        consumed: usize,
+    },
+    /// The member's stream panicked. Its state is suspect, so the member
+    /// reads the whole history on every call until the pool is refitted.
+    Lost,
+}
+
+impl MemberStream {
+    /// A fresh state for `model`. A model that panics while opening its
+    /// stream is [`MemberStream::Lost`] from the start.
+    pub(crate) fn open(model: &dyn Forecaster) -> MemberStream {
+        match catch_unwind(AssertUnwindSafe(|| model.stream())) {
+            Ok(Some(stream)) => MemberStream::Live {
+                stream,
+                consumed: 0,
+            },
+            Ok(None) => MemberStream::Stateless,
+            Err(_) => MemberStream::Lost,
+        }
+    }
+}
+
+/// [`guarded_call`] for a member served through `slot`: a live stream
+/// pushes the unconsumed suffix of `history` and forecasts, inside the
+/// same budget check and `catch_unwind` and with the same non-finite
+/// classification. A panic drops the stream.
+fn guarded_stream_call(
+    model: &dyn Forecaster,
+    slot: &mut MemberStream,
+    history: &[f64],
+    budget_us: Option<u64>,
+) -> Result<f64, FaultClass> {
+    let MemberStream::Live { stream, consumed } = slot else {
+        return guarded_call(model, history, budget_us);
+    };
+    check_budget(model, budget_us)?;
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        stream.push_slice(&history[*consumed..]);
+        *consumed = history.len();
+        let value = stream.forecast();
+        if value.is_finite() {
+            Ok(value)
+        } else {
+            Err(PredictError::NonFinite {
+                bits: value.to_bits(),
+            })
+        }
+    }));
+    if outcome.is_err() {
+        *slot = MemberStream::Lost;
+    }
+    classify(outcome)
+}
+
+/// Deterministic budget enforcement: the model's declared cost against
+/// the configured budget, checked before it is called.
+fn check_budget(model: &dyn Forecaster, budget_us: Option<u64>) -> Result<(), FaultClass> {
+    match (budget_us, model.cost_hint_us()) {
+        (Some(budget), Some(cost)) if cost > budget => Err(FaultClass::BudgetExceeded),
+        _ => Ok(()),
+    }
+}
+
+/// Classifies the outcome of a guarded, checked prediction.
+fn classify(outcome: std::thread::Result<Result<f64, PredictError>>) -> Result<f64, FaultClass> {
+    match outcome {
         Ok(Ok(value)) => Ok(value),
         Ok(Err(PredictError::NonFinite { .. })) => Err(FaultClass::NonFinite),
         Ok(Err(PredictError::BudgetExceeded { .. })) => Err(FaultClass::BudgetExceeded),

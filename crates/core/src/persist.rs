@@ -56,6 +56,77 @@ impl From<std::io::Error> for PersistError {
 
 const MAGIC: &str = "eadrl-policy v1";
 
+/// Largest accepted layer width (ω, hidden sizes, pool size): far above
+/// any real EA-DRL policy, low enough that a corrupt size is rejected
+/// before the actor and critic are allocated from it.
+const MAX_WIDTH: usize = 1 << 16;
+/// Largest accepted number of hidden layers.
+const MAX_DEPTH: usize = 64;
+/// Largest accepted magnitude of a parameter or window value. Trained
+/// actor parameters stay many orders of magnitude below it (the largest
+/// are the informed initialization's logits, `T · e_i / min_j e_j` with
+/// the minimum floored at 1e-12); a value above it is corruption, and
+/// would overflow the actor's forward pass.
+const MAX_ABS_VALUE: f64 = 1e50;
+
+/// Largest accepted parameter count of the actor, and of the critic that
+/// restoring builds beside it (`omega + action_dim → hidden… → 1`).
+const MAX_PARAMS: usize = 1 << 24;
+
+/// The flat parameter count of a dense stack `input → hidden… → output`
+/// (weights then bias per layer), or `None` on overflow.
+fn dense_param_count(input: usize, hidden: &[usize], output: usize) -> Option<usize> {
+    let mut fan_in = input;
+    let mut total = 0usize;
+    for &fan_out in hidden.iter().chain(std::iter::once(&output)) {
+        let layer = fan_in.checked_mul(fan_out)?.checked_add(fan_out)?;
+        total = total.checked_add(layer)?;
+        fan_in = fan_out;
+    }
+    Some(total)
+}
+
+/// The actor's parameter count for the topology, after checking that
+/// neither it nor the critic exceeds [`MAX_PARAMS`].
+fn actor_param_count(
+    omega: usize,
+    hidden: &[usize],
+    action_dim: usize,
+) -> Result<usize, PersistError> {
+    let critic_input = omega.checked_add(action_dim);
+    let actor = dense_param_count(omega, hidden, action_dim);
+    let critic = critic_input.and_then(|input| dense_param_count(input, hidden, 1));
+    match (actor, critic) {
+        (Some(actor), Some(critic)) if actor <= MAX_PARAMS && critic <= MAX_PARAMS => Ok(actor),
+        _ => Err(PersistError::Format(format!(
+            "topology {omega}→{hidden:?}→{action_dim} exceeds {MAX_PARAMS} parameters"
+        ))),
+    }
+}
+
+fn check_width(label: &str, value: usize) -> Result<usize, PersistError> {
+    if (1..=MAX_WIDTH).contains(&value) {
+        Ok(value)
+    } else {
+        Err(PersistError::Format(format!(
+            "{label}: {value} is outside 1..={MAX_WIDTH}"
+        )))
+    }
+}
+
+fn check_values(label: &str, values: &[f64]) -> Result<(), PersistError> {
+    match values
+        .iter()
+        .position(|v| !v.is_finite() || v.abs() > MAX_ABS_VALUE)
+    {
+        None => Ok(()),
+        Some(i) => Err(PersistError::Format(format!(
+            "{label}[{i}] = {} is not a finite value within ±{MAX_ABS_VALUE:e}",
+            values[i]
+        ))),
+    }
+}
+
 fn squash_tag(squash: ActionSquash) -> String {
     match squash {
         ActionSquash::Identity => "identity".to_string(),
@@ -137,6 +208,14 @@ impl PolicySnapshot {
     }
 
     /// Reads a snapshot written by [`PolicySnapshot::write`].
+    ///
+    /// Anything [`crate::EaDrlPolicy::restore`] could not rebuild is a
+    /// [`PersistError::Format`], never a panic: sizes outside
+    /// `1..=65536` (or more than 64 hidden layers), an actor or critic
+    /// beyond 2^24 parameters, a parameter count that does not match the
+    /// `(omega, hidden, action_dim)` topology, a window longer than
+    /// `omega`, and non-finite or implausibly large (beyond ±1e50)
+    /// parameter, window or squash-scale values.
     pub fn read<R: Read>(reader: R) -> Result<Self, PersistError> {
         let mut lines = BufReader::new(reader).lines();
         let mut next = |what: &str| -> Result<String, PersistError> {
@@ -161,8 +240,11 @@ impl PolicySnapshot {
                 .and_then(|v| v.parse().ok())
                 .ok_or_else(|| PersistError::Format(format!("{label}: bad value")))
         };
-        let omega = parse_usize_line(next("omega")?, "omega")?;
-        let action_dim = parse_usize_line(next("action_dim")?, "action_dim")?;
+        let omega = check_width("omega", parse_usize_line(next("omega")?, "omega")?)?;
+        let action_dim = check_width(
+            "action_dim",
+            parse_usize_line(next("action_dim")?, "action_dim")?,
+        )?;
         let hidden_line = next("hidden")?;
         let mut hp = hidden_line.split_whitespace();
         if hp.next() != Some("hidden") {
@@ -172,18 +254,46 @@ impl PolicySnapshot {
             .next()
             .and_then(|v| v.parse().ok())
             .ok_or_else(|| PersistError::Format("hidden: bad count".into()))?;
-        let hidden: Result<Vec<usize>, _> = hp.map(|v| v.parse::<usize>()).collect();
-        let hidden = hidden.map_err(|_| PersistError::Format("hidden: bad size".into()))?;
+        if hcount > MAX_DEPTH {
+            return Err(PersistError::Format(format!(
+                "hidden: {hcount} layers exceed {MAX_DEPTH}"
+            )));
+        }
+        let hidden: Result<Vec<usize>, _> = hp
+            .map(|v| match v.parse::<usize>() {
+                Ok(size) => check_width("hidden", size),
+                Err(_) => Err(PersistError::Format("hidden: bad size".into())),
+            })
+            .collect();
+        let hidden = hidden?;
         if hidden.len() != hcount {
             return Err(PersistError::Format("hidden: count mismatch".into()));
         }
+        let expected_params = actor_param_count(omega, &hidden, action_dim)?;
         let squash_line = next("squash")?;
         let tag = squash_line
             .strip_prefix("squash ")
             .ok_or_else(|| PersistError::Format("expected squash line".into()))?;
         let squash = parse_squash(tag.trim())?;
+        if let ActionSquash::BoundedSoftmax { scale } = squash {
+            check_values("squash scale", &[scale])?;
+        }
         let params = parse_floats(&next("params")?, "params")?;
+        if params.len() != expected_params {
+            return Err(PersistError::Format(format!(
+                "params: {} values, but the topology {omega}→{hidden:?}→{action_dim} has {expected_params}",
+                params.len()
+            )));
+        }
+        check_values("params", &params)?;
         let window = parse_floats(&next("window")?, "window")?;
+        if window.len() > omega {
+            return Err(PersistError::Format(format!(
+                "window: {} values exceed omega = {omega}",
+                window.len()
+            )));
+        }
+        check_values("window", &window)?;
         Ok(PolicySnapshot {
             omega,
             action_dim,
@@ -199,15 +309,31 @@ impl PolicySnapshot {
 mod tests {
     use super::*;
 
+    /// A 3 → 5 → 4 actor: 3·5 + 5 + 5·4 + 4 = 44 parameters.
     fn sample() -> PolicySnapshot {
+        let mut params = vec![0.1, -2.5, std::f64::consts::PI, 1e-300];
+        params.extend((4..44).map(|i| f64::from(i) * 0.01 - 0.2));
         PolicySnapshot {
-            omega: 10,
-            action_dim: 43,
-            hidden: vec![32, 32],
+            omega: 3,
+            action_dim: 4,
+            hidden: vec![5],
             squash: ActionSquash::BoundedSoftmax { scale: 6.0 },
-            params: vec![0.1, -2.5, std::f64::consts::PI, 1e-300],
+            params,
             window: vec![1.0, 2.0, 3.0],
         }
+    }
+
+    fn written(snap: &PolicySnapshot) -> String {
+        let mut buf = Vec::new();
+        snap.write(&mut buf).unwrap();
+        String::from_utf8(buf).unwrap()
+    }
+
+    fn rejects(text: &str) -> bool {
+        matches!(
+            PolicySnapshot::read(text.as_bytes()),
+            Err(PersistError::Format(_))
+        )
     }
 
     #[test]
@@ -257,7 +383,59 @@ mod tests {
         snap.write(&mut buf).unwrap();
         let text = String::from_utf8(buf)
             .unwrap()
-            .replace("params 4", "params 9");
+            .replace("params 44", "params 49");
         assert!(PolicySnapshot::read(text.as_bytes()).is_err());
+    }
+
+    #[test]
+    fn param_count_must_match_the_topology() {
+        assert_eq!(actor_param_count(3, &[5], 4).ok(), Some(44));
+        assert_eq!(actor_param_count(10, &[32, 32], 43).ok(), Some(2827));
+        assert_eq!(dense_param_count(usize::MAX, &[2], 1), None);
+        // A small actor whose critic would be huge.
+        assert_eq!(dense_param_count(1, &[65536, 1], 65536), Some(327_681));
+        assert!(actor_param_count(1, &[65536, 1], 65536).is_err());
+        // Consistent counts, wrong topology: one parameter short.
+        let mut short = sample();
+        short.params.pop();
+        assert!(rejects(&written(&short)));
+        // A different hidden width with the same parameter count line.
+        let text = written(&sample()).replace("hidden 1 5", "hidden 1 6");
+        assert!(rejects(&text));
+    }
+
+    #[test]
+    fn zero_and_absurd_sizes_are_rejected() {
+        let text = written(&sample());
+        for (from, to) in [
+            ("omega 3", "omega 0"),
+            ("action_dim 4", "action_dim 0"),
+            ("hidden 1 5", "hidden 1 0"),
+            ("omega 3", "omega 99999999999"),
+            ("hidden 1 5", "hidden 100000 5"),
+            ("action_dim 4", "action_dim 18446744073709551615"),
+        ] {
+            assert!(rejects(&text.replacen(from, to, 1)), "{to}");
+        }
+    }
+
+    #[test]
+    fn non_finite_values_are_rejected() {
+        for bad in [f64::NAN, f64::INFINITY, -1e300] {
+            let mut snap = sample();
+            snap.params[7] = bad;
+            assert!(rejects(&written(&snap)), "param {bad}");
+            let mut snap = sample();
+            snap.window[1] = bad;
+            assert!(rejects(&written(&snap)), "window {bad}");
+            let snap = PolicySnapshot {
+                squash: ActionSquash::BoundedSoftmax { scale: bad },
+                ..sample()
+            };
+            assert!(rejects(&written(&snap)), "scale {bad}");
+        }
+        let mut long = sample();
+        long.window.push(4.0);
+        assert!(rejects(&written(&long)), "window longer than omega");
     }
 }

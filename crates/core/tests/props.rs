@@ -2,9 +2,104 @@
 
 use eadrl_core::baselines::opera::project_simplex;
 use eadrl_core::env::normalize_window;
-use eadrl_core::{EnsembleEnv, RewardKind};
+use eadrl_core::{Combiner, EaDrlConfig, EaDrlPolicy, EnsembleEnv, PolicySnapshot, RewardKind};
 use eadrl_ptest::prelude::*;
-use eadrl_rl::Environment;
+use eadrl_rl::{ActionSquash, DdpgAgent, Environment};
+
+/// A well-formed snapshot text: a freshly initialized 6 → 8 → 8 → 5
+/// actor (real parameter magnitudes) and a full state window.
+fn snapshot_text(squash: ActionSquash) -> String {
+    let mut config = EaDrlConfig::default();
+    config.ddpg.hidden = vec![8, 8];
+    config.ddpg.squash = squash;
+    let mut agent = DdpgAgent::new(6, 5, config.ddpg);
+    let snapshot = PolicySnapshot {
+        omega: 6,
+        action_dim: 5,
+        hidden: vec![8, 8],
+        squash,
+        params: agent.actor_params(),
+        window: vec![20.5, 21.0, 19.75, 22.0, 20.0, 21.25],
+    };
+    let mut buf = Vec::new();
+    snapshot.write(&mut buf).expect("write to a Vec");
+    String::from_utf8(buf).expect("snapshots are ASCII")
+}
+
+/// Applies one mutation to a snapshot text: `kind` 0 truncates at
+/// `pos`, 1 overwrites the hex digit at (or after) `pos` with `digit`,
+/// 2 replaces the first number of line `pos` with an edited count.
+fn mutate(text: &str, kind: usize, pos: usize, digit: usize) -> String {
+    match kind {
+        0 => text[..pos % text.len()].to_string(),
+        1 => {
+            let mut bytes = text.as_bytes().to_vec();
+            let start = pos % bytes.len();
+            if let Some(i) = (start..bytes.len()).find(|&i| bytes[i].is_ascii_hexdigit()) {
+                bytes[i] = b"0123456789abcdef"[digit % 16];
+            }
+            String::from_utf8(bytes).expect("hex digits keep the text ASCII")
+        }
+        _ => {
+            let lines: Vec<&str> = text.lines().collect();
+            let target = pos % lines.len();
+            let edited: Vec<String> = lines
+                .iter()
+                .enumerate()
+                .map(|(i, line)| {
+                    let mut parts: Vec<String> = line.split(' ').map(str::to_string).collect();
+                    if i == target && parts.len() > 1 {
+                        let n: u64 = parts[1].parse().unwrap_or(0);
+                        parts[1] = match digit % 6 {
+                            0 => "0".to_string(),
+                            1 => n.saturating_sub(1).to_string(),
+                            2 => (n + 1).to_string(),
+                            3 => (n * 2).to_string(),
+                            4 => u64::MAX.to_string(),
+                            _ => "99999999999999999999999".to_string(),
+                        };
+                    }
+                    parts.join(" ")
+                })
+                .collect();
+            edited.join("\n") + "\n"
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(400))]
+
+    /// A corrupted snapshot is either rejected with an error or restores
+    /// a policy that serves finite weights — it never panics.
+    #[test]
+    fn corrupt_snapshots_are_rejected_or_serve_finitely(
+        kind in 0usize..3,
+        pos in 0usize..100_000,
+        digit in 0usize..16,
+        bounded in 0usize..2,
+    ) {
+        let squash = if bounded == 1 {
+            ActionSquash::BoundedSoftmax { scale: 3.0 }
+        } else {
+            ActionSquash::Softmax
+        };
+        let text = mutate(&snapshot_text(squash), kind, pos, digit);
+        if let Ok(snapshot) = PolicySnapshot::read(text.as_bytes()) {
+            let m = snapshot.action_dim;
+            let mut policy = EaDrlPolicy::restore(EaDrlConfig::default(), &snapshot);
+            for step in 0..8 {
+                let w = policy.weights(m);
+                prop_assert_eq!(w.len(), m);
+                prop_assert!(w.iter().all(|v| v.is_finite()), "non-finite weights {w:?}");
+                let preds: Vec<f64> = (0..m).map(|i| 20.0 + (i + step) as f64 * 0.25).collect();
+                let served = policy.combine(&preds);
+                prop_assert!(served.is_finite(), "non-finite forecast {served}");
+                policy.observe(&preds, 21.0);
+            }
+        }
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]

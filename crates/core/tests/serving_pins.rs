@@ -1,0 +1,124 @@
+//! Serving pin: one quick-pool `EaDrl` is served through a scripted
+//! sequence of histories, and an FNV-1a digest of every forecast's bits
+//! is asserted against a recorded value. The sequence exercises every
+//! way a caller's history can relate to the previous call's:
+//!
+//! * a history that grows by one value per call;
+//! * `forecast(h, n)` followed by the real values, so the tail diverges
+//!   from what the model last saw;
+//! * a NaN gap burst inside the history and at its end;
+//! * leading NaNs;
+//! * a shorter history, down to a single value;
+//! * a refit, after which serving starts over.
+//!
+//! The digest was recorded with the stateless serving path (every member
+//! re-reads the whole history on every call), so any serving state kept
+//! between calls must reproduce it bit for bit.
+
+use eadrl_core::{EaDrl, EaDrlConfig};
+use eadrl_datasets::{generate, DatasetId};
+use eadrl_models::quick_pool;
+
+const SEASON: usize = 24;
+
+/// FNV-1a over the forecast bits, in serving order.
+#[derive(Default)]
+struct Digest {
+    hash: u64,
+    count: usize,
+}
+
+impl Digest {
+    fn push(&mut self, value: f64) {
+        if self.count == 0 {
+            self.hash = 0xcbf2_9ce4_8422_2325;
+        }
+        for byte in value.to_bits().to_le_bytes() {
+            self.hash ^= u64::from(byte);
+            self.hash = self.hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        self.count += 1;
+    }
+}
+
+fn config() -> EaDrlConfig {
+    let mut config = EaDrlConfig::default();
+    config.omega = 6;
+    config.episodes = 6;
+    config.max_iter = 30;
+    config.restarts = 1;
+    config.ddpg.seed = 11;
+    config
+}
+
+fn serve(model: &mut EaDrl, digest: &mut Digest, history: &[f64]) {
+    let value = model.predict_next(history);
+    assert!(
+        value.is_finite(),
+        "non-finite forecast at len {}",
+        history.len()
+    );
+    digest.push(value);
+}
+
+fn serve_script() -> Digest {
+    let s = generate(DatasetId::BikeHumidity, 380, 5).values().to_vec();
+    let mut model = EaDrl::new(quick_pool(5, SEASON, 3), config());
+    model.fit(&s[..240]).expect("quick pool fits 240 points");
+    let mut d = Digest::default();
+
+    // A growing history.
+    for t in 240..300 {
+        serve(&mut model, &mut d, &s[..t]);
+    }
+    // Recursive forecasts, then the real values: the served tail diverges.
+    for value in model.forecast(&s[..300], 4) {
+        d.push(value);
+    }
+    for t in 300..310 {
+        serve(&mut model, &mut d, &s[..t]);
+    }
+    // A NaN gap burst inside the history, which then keeps growing...
+    let mut h = s[..320].to_vec();
+    h[312..316].fill(f64::NAN);
+    serve(&mut model, &mut d, &h);
+    for &y in &s[320..326] {
+        h.push(y);
+        serve(&mut model, &mut d, &h);
+    }
+    // ...and a burst at its end, later repaired with real values.
+    for _ in 0..3 {
+        h.push(f64::NAN);
+        serve(&mut model, &mut d, &h);
+    }
+    serve(&mut model, &mut d, &s[..330]);
+    // Leading NaNs.
+    let mut lead = s[..340].to_vec();
+    lead[..3].fill(f64::NAN);
+    serve(&mut model, &mut d, &lead);
+    lead.extend_from_slice(&s[340..344]);
+    serve(&mut model, &mut d, &lead);
+    // Shorter histories: below the Holt–Winters seeding length and the
+    // ARIMA fallback threshold, down to a single value.
+    for t in [100, 40, 30, 3, 2, 1] {
+        serve(&mut model, &mut d, &s[..t]);
+    }
+    serve(&mut model, &mut d, &s[..345]);
+    // A refit restarts serving.
+    model.fit(&s[..260]).expect("quick pool refits 260 points");
+    for t in 345..360 {
+        serve(&mut model, &mut d, &s[..t]);
+    }
+    d
+}
+
+#[test]
+fn scripted_serving_sequence_is_pinned() {
+    let digest = serve_script();
+    assert_eq!(digest.count, 109);
+    assert_eq!(
+        format!("{:016x}", digest.hash),
+        "d34c9f5f49c328f2",
+        "serving digest moved"
+    );
+}

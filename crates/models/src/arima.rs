@@ -1,6 +1,6 @@
 //! ARIMA(p, d, q) fitted with the Hannan–Rissanen two-stage procedure.
 
-use crate::forecaster::{fallback_forecast, Forecaster, ModelError};
+use crate::forecaster::{ForecastStream, Forecaster, ModelError};
 use eadrl_linalg::{ridge, Matrix};
 use eadrl_timeseries::transform::difference;
 
@@ -15,7 +15,9 @@ use eadrl_timeseries::transform::difference;
 ///
 /// One-step forecasting filters the fitted model over the observed history
 /// to reconstruct the innovations, predicts the next differenced value and
-/// integrates back `d` times.
+/// integrates back `d` times. The filter is a stream
+/// ([`Forecaster::stream`]): `predict_next` feeds the history into a fresh
+/// one, and a serving layer can keep one alive and feed it only new values.
 #[derive(Debug, Clone)]
 pub struct Arima {
     name: String,
@@ -52,53 +54,6 @@ impl Arima {
     /// `(p, d, q)` orders.
     pub fn orders(&self) -> (usize, usize, usize) {
         (self.p, self.d, self.q)
-    }
-
-    /// Automatic order selection, the spirit of R's `auto.arima`:
-    ///
-    /// * `d ∈ {0, 1}` is chosen by a unit-root heuristic: difference once
-    ///   when the lag-1 autocorrelation exceeds 0.9 (trend / random-walk
-    ///   signature),
-    /// * `(p, q)` over `1..=max_p × 0..=max_q` by one-step SSE on the last
-    ///   25 % of `series` (fit on the first 75 %).
-    ///
-    /// Returns the *fitted* best model (refit on the full series).
-    pub fn auto(series: &[f64], max_p: usize, max_q: usize) -> Result<Arima, ModelError> {
-        let acf1 = eadrl_timeseries::stats::acf(series, 1)
-            .get(1)
-            .copied()
-            .unwrap_or(0.0);
-        let d = usize::from(acf1 > 0.9);
-        let cut = (series.len() as f64 * 0.75).round() as usize;
-        let (fit_part, val_part) = series.split_at(cut.min(series.len().saturating_sub(2)));
-
-        let mut best: Option<(f64, usize, usize)> = None;
-        for p in 1..=max_p.max(1) {
-            for q in 0..=max_q {
-                let mut candidate = Arima::new(p, d, q);
-                if candidate.fit(fit_part).is_err() {
-                    continue;
-                }
-                // Rolling one-step SSE over the validation tail.
-                let mut history = fit_part.to_vec();
-                let mut sse = 0.0;
-                for &actual in val_part {
-                    let e = candidate.predict_next(&history) - actual;
-                    sse += e * e;
-                    history.push(actual);
-                }
-                if best.is_none_or(|(b, _, _)| sse < b) {
-                    best = Some((sse, p, q));
-                }
-            }
-        }
-        let (_, p, q) = best.ok_or(ModelError::SeriesTooShort {
-            needed: 40,
-            got: series.len(),
-        })?;
-        let mut chosen = Arima::new(p, d, q);
-        chosen.fit(series)?;
-        Ok(chosen)
     }
 
     fn diff_all(&self, series: &[f64]) -> Vec<f64> {
@@ -140,23 +95,180 @@ impl Arima {
         Some(resid)
     }
 
-    /// Filters the fitted ARMA over `w`, returning the innovation sequence.
-    fn filter_innovations(&self, w: &[f64]) -> Vec<f64> {
-        let mut e = vec![0.0; w.len()];
-        let start = self.p;
-        for t in start..w.len() {
-            let mut pred = self.coef[0];
-            for lag in 1..=self.p {
-                pred += self.coef[lag] * w[t - lag];
-            }
-            for lag in 1..=self.q {
-                if t >= lag {
-                    pred += self.coef[self.p + lag] * e[t - lag];
-                }
-            }
-            e[t] = (w[t] - pred).clamp(-self.innovation_cap, self.innovation_cap);
+    /// A fresh serving stream over this model's coefficients.
+    fn new_stream(&self) -> ArimaStream {
+        ArimaStream {
+            filter: ArimaFilter {
+                p: self.p,
+                d: self.d,
+                q: self.q,
+                coef: self.coef.clone(),
+                innovation_cap: self.innovation_cap,
+                fitted: self.fitted,
+            },
+            state: ArimaState {
+                n: 0,
+                last: 0.0,
+                levels: [0.0; 2],
+                tw: 0,
+                w_end: self.p,
+                e_end: self.q,
+            },
+            w_lags: vec![0.0; self.p + LAG_SLACK],
+            e_lags: vec![0.0; self.q + LAG_SLACK],
         }
-        e
+    }
+}
+
+/// ARIMA's incremental one-step state: the last value of each of the `d`
+/// integration levels, the last `p` values of the differenced series `w`
+/// and the last `q` filtered innovations. One push differences the new
+/// value, filters one innovation and shifts the lags, so serving a
+/// growing history costs O(p + q + d) per value.
+#[derive(Debug, Clone)]
+struct ArimaStream {
+    filter: ArimaFilter,
+    state: ArimaState,
+    /// Lag window of `w`: its last `p` values, oldest first, end at
+    /// `state.w_end` (zeros before they exist). See [`shift_in`].
+    w_lags: Vec<f64>,
+    /// Lag window of the innovations: the last `q`, like `w_lags`.
+    e_lags: Vec<f64>,
+}
+
+/// The fitted model, as the stream reads it.
+#[derive(Debug, Clone)]
+struct ArimaFilter {
+    p: usize,
+    d: usize,
+    q: usize,
+    /// `[intercept, phi_1..phi_p, theta_1..theta_q]` (empty when unfitted).
+    coef: Vec<f64>,
+    innovation_cap: f64,
+    fitted: bool,
+}
+
+/// The stream's scalar state, copied into locals while a slice is pushed.
+#[derive(Debug, Clone, Copy)]
+struct ArimaState {
+    /// Values pushed so far.
+    n: usize,
+    /// The last value pushed: the fallback forecast.
+    last: f64,
+    /// `levels[k]`: the last value of the `k`-times differenced series,
+    /// for `k < d`.
+    levels: [f64; 2],
+    /// Values of `w` (the `d`-times differenced series) seen so far.
+    tw: usize,
+    /// End of the lag window in `w_lags` / `e_lags`.
+    w_end: usize,
+    e_end: usize,
+}
+
+/// Free slots after a lag window: the window is copied back to the
+/// front of its buffer once every `LAG_SLACK` pushes.
+const LAG_SLACK: usize = 64;
+
+/// Appends `v` to a lag window of length `k` that ends at `*end` in
+/// `buf`. `buf` holds `k + LAG_SLACK` slots: appends fill it, and once
+/// it is full the window is copied back to its first `k` slots, so a
+/// push costs O(1) amortized and never allocates.
+fn shift_in(buf: &mut [f64], end: &mut usize, k: usize, v: f64) {
+    if *end == buf.len() {
+        buf.copy_within(*end - k.., 0);
+        *end = k;
+    }
+    buf[*end] = v;
+    *end += 1;
+}
+
+impl ArimaFilter {
+    /// The ARMA one-step prediction of `w[t]` from the lag windows held
+    /// when `t` values of `w` have been seen: the intercept, then `p` lags
+    /// of `w`, then `q` lagged innovations, each added only when it exists.
+    fn arma_step(&self, t: usize, state: &ArimaState, w: &[f64], e: &[f64]) -> f64 {
+        let mut pred = self.coef[0];
+        for lag in 1..=self.p {
+            if t >= lag {
+                pred += self.coef[lag] * w[state.w_end - lag];
+            }
+        }
+        for lag in 1..=self.q {
+            if t >= lag {
+                pred += self.coef[self.p + lag] * e[state.e_end - lag];
+            }
+        }
+        pred
+    }
+
+    /// Consumes one value: the recurrence behind every ARIMA forecast.
+    fn step(&self, state: &mut ArimaState, w: &mut [f64], e: &mut [f64], y: f64) {
+        let n = state.n;
+        state.n += 1;
+        state.last = y;
+        // Difference `d` times; the k-th level gets its first value when
+        // the k-th observation arrives, and `w` only after all d levels.
+        let mut v = y;
+        for k in 0..self.d {
+            let prev = state.levels[k];
+            state.levels[k] = v;
+            if n == k {
+                return;
+            }
+            v -= prev;
+        }
+        if !self.fitted {
+            return;
+        }
+        // Filter the innovation of the new `w` value: zero until `p`
+        // lags exist, then the winsorized one-step residual. A pure AR
+        // model (`q = 0`) never reads its innovations, so it skips them.
+        if self.q > 0 {
+            let t = state.tw;
+            let innovation = if t >= self.p {
+                (v - self.arma_step(t, state, w, e))
+                    .clamp(-self.innovation_cap, self.innovation_cap)
+            } else {
+                0.0
+            };
+            shift_in(e, &mut state.e_end, self.q, innovation);
+        }
+        shift_in(w, &mut state.w_end, self.p, v);
+        state.tw += 1;
+    }
+}
+
+impl ForecastStream for ArimaStream {
+    fn push(&mut self, y: f64) {
+        self.push_slice(std::slice::from_ref(&y));
+    }
+
+    fn push_slice(&mut self, ys: &[f64]) {
+        let mut state = self.state;
+        for &y in ys {
+            self.filter
+                .step(&mut state, &mut self.w_lags, &mut self.e_lags, y);
+        }
+        self.state = state;
+    }
+
+    fn forecast(&self) -> f64 {
+        let (f, s) = (&self.filter, &self.state);
+        let fallback = if s.n == 0 { 0.0 } else { s.last };
+        if !f.fitted || s.n < f.d + f.p.max(f.q) + 2 {
+            return fallback;
+        }
+        // One-step forecast of `w`, integrated back `d` times by adding
+        // the last value of each level, innermost first.
+        let mut out = f.arma_step(s.tw, s, &self.w_lags, &self.e_lags);
+        for &level in s.levels[..f.d].iter().rev() {
+            out += level;
+        }
+        if out.is_finite() {
+            out
+        } else {
+            fallback
+        }
     }
 }
 
@@ -202,7 +314,7 @@ impl Forecaster for Arima {
             context: e.to_string(),
         })?;
         // Enforce (approximate) invertibility of the MA part: the
-        // innovation filter in `filter_innovations` recurses on its own
+        // innovation filter in `ArimaFilter::step` recurses on its own
         // output, so |θ| ≥ 1 diverges exponentially over long histories.
         // R's arima() enforces this via constrained optimization; clamping
         // is the lightweight equivalent.
@@ -220,49 +332,90 @@ impl Forecaster for Arima {
     }
 
     fn predict_next(&self, history: &[f64]) -> f64 {
-        if !self.fitted || history.len() < self.d + self.p.max(self.q) + 2 {
-            return fallback_forecast(history);
-        }
-        let w = self.diff_all(history);
-        if w.len() < self.p.max(1) {
-            return fallback_forecast(history);
-        }
-        let e = self.filter_innovations(&w);
-        // One-step-ahead forecast of the differenced series.
-        let t = w.len();
-        let mut pred = self.coef[0];
-        for lag in 1..=self.p {
-            if t >= lag {
-                pred += self.coef[lag] * w[t - lag];
-            }
-        }
-        for lag in 1..=self.q {
-            if t >= lag {
-                pred += self.coef[self.p + lag] * e[t - lag];
-            }
-        }
-        // Integrate back d times: forecast of x_{t+1} adds the last values
-        // of each integration level.
-        let mut levels: Vec<f64> = Vec::with_capacity(self.d);
-        let mut cur = history.to_vec();
-        for _ in 0..self.d {
-            let Some(&last) = cur.last() else { break };
-            levels.push(last);
-            cur = difference(&cur, 1);
-        }
-        let mut out = pred;
-        for &lvl in levels.iter().rev() {
-            out += lvl;
-        }
-        if out.is_finite() {
-            out
-        } else {
-            fallback_forecast(history)
-        }
+        let mut stream = self.new_stream();
+        stream.push_slice(history);
+        stream.forecast()
+    }
+
+    fn stream(&self) -> Option<Box<dyn ForecastStream>> {
+        Some(Box::new(self.new_stream()))
     }
 
     fn box_clone(&self) -> Box<dyn Forecaster> {
         Box::new(self.clone())
+    }
+}
+
+/// The stateless predict path this module served before the stream
+/// existed, kept verbatim as the test oracle the stream is proven
+/// against (see `crate::stream_differential`).
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::Arima;
+    use crate::forecaster::fallback_forecast;
+    use eadrl_timeseries::transform::difference;
+
+    impl Arima {
+        /// Filters the fitted ARMA over `w`, returning the innovation sequence.
+        fn oracle_filter_innovations(&self, w: &[f64]) -> Vec<f64> {
+            let mut e = vec![0.0; w.len()];
+            let start = self.p;
+            for t in start..w.len() {
+                let mut pred = self.coef[0];
+                for lag in 1..=self.p {
+                    pred += self.coef[lag] * w[t - lag];
+                }
+                for lag in 1..=self.q {
+                    if t >= lag {
+                        pred += self.coef[self.p + lag] * e[t - lag];
+                    }
+                }
+                e[t] = (w[t] - pred).clamp(-self.innovation_cap, self.innovation_cap);
+            }
+            e
+        }
+
+        pub(crate) fn oracle_predict_next(&self, history: &[f64]) -> f64 {
+            if !self.fitted || history.len() < self.d + self.p.max(self.q) + 2 {
+                return fallback_forecast(history);
+            }
+            let w = self.diff_all(history);
+            if w.len() < self.p.max(1) {
+                return fallback_forecast(history);
+            }
+            let e = self.oracle_filter_innovations(&w);
+            // One-step-ahead forecast of the differenced series.
+            let t = w.len();
+            let mut pred = self.coef[0];
+            for lag in 1..=self.p {
+                if t >= lag {
+                    pred += self.coef[lag] * w[t - lag];
+                }
+            }
+            for lag in 1..=self.q {
+                if t >= lag {
+                    pred += self.coef[self.p + lag] * e[t - lag];
+                }
+            }
+            // Integrate back d times: forecast of x_{t+1} adds the last values
+            // of each integration level.
+            let mut levels: Vec<f64> = Vec::with_capacity(self.d);
+            let mut cur = history.to_vec();
+            for _ in 0..self.d {
+                let Some(&last) = cur.last() else { break };
+                levels.push(last);
+                cur = difference(&cur, 1);
+            }
+            let mut out = pred;
+            for &lvl in levels.iter().rev() {
+                out += lvl;
+            }
+            if out.is_finite() {
+                out
+            } else {
+                fallback_forecast(history)
+            }
+        }
     }
 }
 
@@ -367,35 +520,5 @@ mod tests {
         // Raw series is strongly autocorrelated; residuals should not be.
         let q_raw = ljung_box(&s[300..], 10).unwrap();
         assert!(q < 0.2 * q_raw, "residual Q {q} vs raw Q {q_raw}");
-    }
-
-    #[test]
-    fn auto_picks_no_differencing_for_stationary_data() {
-        let s = ar1(0.6, 1.0, 400, 21);
-        let m = Arima::auto(&s, 3, 1).unwrap();
-        let (p, d, _q) = m.orders();
-        assert_eq!(d, 0, "stationary AR(1) needs no differencing");
-        assert!(p >= 1);
-        assert!(m.predict_next(&s).is_finite());
-    }
-
-    #[test]
-    fn auto_differences_trending_data() {
-        let base = ar1(0.3, 0.0, 300, 5);
-        let s: Vec<f64> = base
-            .iter()
-            .enumerate()
-            .map(|(t, v)| 3.0 * t as f64 + v)
-            .collect();
-        let m = Arima::auto(&s, 2, 1).unwrap();
-        assert_eq!(m.orders().1, 1, "strong trend should be differenced");
-        // Forecast continues the trend.
-        let pred = m.predict_next(&s);
-        assert!((pred - (s[s.len() - 1] + 3.0)).abs() < 2.0, "pred {pred}");
-    }
-
-    #[test]
-    fn auto_on_tiny_series_errors() {
-        assert!(Arima::auto(&[1.0; 10], 2, 1).is_err());
     }
 }

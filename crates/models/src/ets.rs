@@ -1,6 +1,6 @@
 //! Exponential-smoothing forecasters (SES, Holt, additive Holt–Winters).
 
-use crate::forecaster::{fallback_forecast, Forecaster, ModelError};
+use crate::forecaster::{ForecastStream, Forecaster, ModelError};
 
 /// The exponential-smoothing variant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,96 +59,186 @@ impl Ets {
         (self.alpha, self.beta, self.gamma)
     }
 
-    /// Automatic variant selection: fits SES, Holt, and (when the series
-    /// is long enough) additive Holt–Winters with `season`, and returns
-    /// the fitted model with the lowest one-step SSE over the training
-    /// pass — a miniature `ets()` from R's forecast package.
-    pub fn auto(series: &[f64], season: usize) -> Result<Ets, ModelError> {
-        let mut kinds = vec![EtsKind::Simple, EtsKind::Holt];
-        if season >= 2 && series.len() >= 2 * season {
-            kinds.push(EtsKind::HoltWinters { period: season });
+    /// A fresh serving stream with smoothing parameters `(alpha, beta,
+    /// gamma)`; `fitted: false` makes every forecast the fallback.
+    fn new_stream(&self, alpha: f64, beta: f64, gamma: f64, fitted: bool) -> EtsStream {
+        let buffered = match self.kind {
+            EtsKind::HoltWinters { period } => 2 * period,
+            _ => 0,
+        };
+        EtsStream {
+            fitted,
+            state: Smoothing {
+                kind: self.kind,
+                alpha,
+                beta,
+                gamma,
+                n: 0,
+                last: 0.0,
+                level: 0.0,
+                trend: 0.0,
+                sse: 0.0,
+            },
+            season: vec![0.0; buffered],
         }
-        let mut best: Option<(f64, Ets)> = None;
-        for kind in kinds {
-            let mut model = Ets::new(kind);
-            if model.fit(series).is_err() {
-                continue;
-            }
-            let (alpha, beta, gamma) = model.params();
-            let (_, sse) = model.run(series, alpha, beta, gamma);
-            if best.as_ref().is_none_or(|(b, _)| sse < *b) {
-                best = Some((sse, model));
-            }
-        }
-        best.map(|(_, m)| m).ok_or(ModelError::SeriesTooShort {
-            needed: 10,
-            got: series.len(),
-        })
     }
+}
 
-    /// Runs the smoothing recursion over `series` and returns the one-step
-    /// forecast for the value after the series, plus the accumulated
-    /// one-step SSE over the pass.
-    fn run(&self, series: &[f64], alpha: f64, beta: f64, gamma: f64) -> (f64, f64) {
+/// ETS's incremental one-step state: level, trend and (Holt–Winters)
+/// seasonal terms, plus the one-step SSE accumulated over the pass —
+/// the quantity `fit`'s grid search minimizes.
+///
+/// SES seeds its level from the first value. Holt also seeds its trend
+/// from the second. Holt–Winters runs the Holt recursion (its fallback
+/// for short histories) until `2·period` values have arrived, buffering
+/// them; it then seeds level and trend from the means of the first two
+/// seasons and the seasonal terms from first-season deviations, and
+/// replays the recursion over the second season. Every later push is one
+/// O(1) recursion step.
+#[derive(Debug, Clone)]
+struct EtsStream {
+    fitted: bool,
+    state: Smoothing,
+    /// Holt–Winters only (`2·period` slots): the first two seasons as
+    /// they arrive; from seeding on, the first `period` slots are the
+    /// seasonal terms.
+    season: Vec<f64>,
+}
+
+/// The smoothing recursion's scalar state, copied into locals while a
+/// slice is pushed.
+#[derive(Debug, Clone, Copy)]
+struct Smoothing {
+    kind: EtsKind,
+    alpha: f64,
+    beta: f64,
+    gamma: f64,
+    /// Values pushed so far.
+    n: usize,
+    /// The last value pushed: the fallback forecast.
+    last: f64,
+    level: f64,
+    trend: f64,
+    /// One-step SSE of the recursion run so far.
+    sse: f64,
+}
+
+impl Smoothing {
+    /// Consumes one value: the recurrence behind every ETS forecast and
+    /// `fit`'s SSE.
+    fn step(&mut self, season: &mut [f64], x: f64) {
+        let t = self.n;
+        self.n += 1;
+        self.last = x;
         match self.kind {
             EtsKind::Simple => {
-                let mut level = series[0];
-                let mut sse = 0.0;
-                for &x in &series[1..] {
-                    let err = x - level;
-                    sse += err * err;
-                    level += alpha * err;
-                }
-                (level, sse)
-            }
-            EtsKind::Holt => {
-                let mut level = series[0];
-                let mut trend = if series.len() > 1 {
-                    series[1] - series[0]
+                if t == 0 {
+                    self.level = x;
                 } else {
-                    0.0
-                };
-                let mut sse = 0.0;
-                for &x in &series[1..] {
-                    let forecast = level + trend;
-                    let err = x - forecast;
-                    sse += err * err;
-                    let new_level = alpha * x + (1.0 - alpha) * (level + trend);
-                    trend = beta * (new_level - level) + (1.0 - beta) * trend;
-                    level = new_level;
+                    let err = x - self.level;
+                    self.sse += err * err;
+                    self.level += self.alpha * err;
                 }
-                (level + trend, sse)
             }
+            EtsKind::Holt => self.holt_step(t, x),
             EtsKind::HoltWinters { period } => {
-                if series.len() < 2 * period {
-                    // Too short for seasonal init; degrade to Holt.
-                    let holt = Ets {
-                        kind: EtsKind::Holt,
-                        ..self.clone()
-                    };
-                    return holt.run(series, alpha, beta, 0.0);
+                if t >= 2 * period {
+                    self.seasonal_step(season, t, x, period);
+                } else {
+                    // Too short for seasonal init: degrade to Holt.
+                    season[t] = x;
+                    self.holt_step(t, x);
+                    if t + 1 == 2 * period {
+                        self.seed_seasonal(season, period);
+                    }
                 }
-                // Initialize level/trend from the first two seasons and the
-                // seasonal terms from first-season deviations.
-                let s1: f64 = series[..period].iter().sum::<f64>() / period as f64;
-                let s2: f64 = series[period..2 * period].iter().sum::<f64>() / period as f64;
-                let mut level = s1;
-                let mut trend = (s2 - s1) / period as f64;
-                let mut seasonal: Vec<f64> = series[..period].iter().map(|&x| x - s1).collect();
-                let mut sse = 0.0;
-                for (t, &x) in series.iter().enumerate().skip(period) {
-                    let sidx = t % period;
-                    let forecast = level + trend + seasonal[sidx];
-                    let err = x - forecast;
-                    sse += err * err;
-                    let new_level = alpha * (x - seasonal[sidx]) + (1.0 - alpha) * (level + trend);
-                    trend = beta * (new_level - level) + (1.0 - beta) * trend;
-                    seasonal[sidx] = gamma * (x - new_level) + (1.0 - gamma) * seasonal[sidx];
-                    level = new_level;
-                }
-                let next_sidx = series.len() % period;
-                (level + trend + seasonal[next_sidx], sse)
             }
+        }
+    }
+
+    /// One Holt step for the `t`-th value (`t` counts from 0).
+    fn holt_step(&mut self, t: usize, x: f64) {
+        match t {
+            0 => {
+                self.level = x;
+                self.trend = 0.0;
+                return;
+            }
+            1 => self.trend = x - self.level,
+            _ => {}
+        }
+        let forecast = self.level + self.trend;
+        let err = x - forecast;
+        self.sse += err * err;
+        let new_level = self.alpha * x + (1.0 - self.alpha) * (self.level + self.trend);
+        self.trend = self.beta * (new_level - self.level) + (1.0 - self.beta) * self.trend;
+        self.level = new_level;
+    }
+
+    /// One Holt–Winters step for the `t`-th value.
+    fn seasonal_step(&mut self, season: &mut [f64], t: usize, x: f64, period: usize) {
+        let sidx = t % period;
+        let seasonal = season[sidx];
+        let forecast = self.level + self.trend + seasonal;
+        let err = x - forecast;
+        self.sse += err * err;
+        let new_level =
+            self.alpha * (x - seasonal) + (1.0 - self.alpha) * (self.level + self.trend);
+        self.trend = self.beta * (new_level - self.level) + (1.0 - self.beta) * self.trend;
+        season[sidx] = self.gamma * (x - new_level) + (1.0 - self.gamma) * seasonal;
+        self.level = new_level;
+    }
+
+    /// Seeds the Holt–Winters state from the buffered first two seasons
+    /// and replays the recursion over the second one. The seasonal terms
+    /// overwrite the first season in place: the replay reads only the
+    /// second.
+    fn seed_seasonal(&mut self, season: &mut [f64], period: usize) {
+        let s1: f64 = season[..period].iter().sum::<f64>() / period as f64;
+        let s2: f64 = season[period..2 * period].iter().sum::<f64>() / period as f64;
+        self.level = s1;
+        self.trend = (s2 - s1) / period as f64;
+        for x in &mut season[..period] {
+            *x -= s1;
+        }
+        self.sse = 0.0;
+        for t in period..2 * period {
+            let x = season[t];
+            self.seasonal_step(season, t, x, period);
+        }
+    }
+}
+
+impl ForecastStream for EtsStream {
+    fn push(&mut self, x: f64) {
+        self.push_slice(std::slice::from_ref(&x));
+    }
+
+    fn push_slice(&mut self, xs: &[f64]) {
+        let mut state = self.state;
+        for &x in xs {
+            state.step(&mut self.season, x);
+        }
+        self.state = state;
+    }
+
+    fn forecast(&self) -> f64 {
+        let s = &self.state;
+        let fallback = if s.n == 0 { 0.0 } else { s.last };
+        if !self.fitted || s.n < 2 {
+            return fallback;
+        }
+        let forecast = match s.kind {
+            EtsKind::Simple => s.level,
+            EtsKind::HoltWinters { period } if s.n >= 2 * period => {
+                s.level + s.trend + self.season[s.n % period]
+            }
+            _ => s.level + s.trend,
+        };
+        if forecast.is_finite() {
+            forecast
+        } else {
+            fallback
         }
     }
 }
@@ -183,7 +273,9 @@ impl Forecaster for Ets {
         for &a in &grid {
             for &b in beta_grid {
                 for &g in gamma_grid {
-                    let (_, sse) = self.run(series, a, b, g);
+                    let mut stream = self.new_stream(a, b, g, false);
+                    stream.push_slice(series);
+                    let sse = stream.state.sse;
                     if sse < best.0 {
                         best = (sse, a, b, g);
                     }
@@ -198,19 +290,118 @@ impl Forecaster for Ets {
     }
 
     fn predict_next(&self, history: &[f64]) -> f64 {
-        if !self.fitted || history.len() < 2 {
-            return fallback_forecast(history);
-        }
-        let (forecast, _) = self.run(history, self.alpha, self.beta, self.gamma);
-        if forecast.is_finite() {
-            forecast
-        } else {
-            fallback_forecast(history)
-        }
+        let mut stream = self.new_stream(self.alpha, self.beta, self.gamma, self.fitted);
+        stream.push_slice(history);
+        stream.forecast()
+    }
+
+    fn stream(&self) -> Option<Box<dyn ForecastStream>> {
+        Some(Box::new(self.new_stream(
+            self.alpha,
+            self.beta,
+            self.gamma,
+            self.fitted,
+        )))
     }
 
     fn box_clone(&self) -> Box<dyn Forecaster> {
         Box::new(self.clone())
+    }
+}
+
+/// The stateless predict path this module served before the stream
+/// existed, kept verbatim as the test oracle the stream is proven
+/// against (see `crate::stream_differential`).
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::{Ets, EtsKind};
+    use crate::forecaster::fallback_forecast;
+
+    impl Ets {
+        /// Runs the smoothing recursion over `series` and returns the one-step
+        /// forecast for the value after the series, plus the accumulated
+        /// one-step SSE over the pass.
+        pub(crate) fn oracle_run(
+            &self,
+            series: &[f64],
+            alpha: f64,
+            beta: f64,
+            gamma: f64,
+        ) -> (f64, f64) {
+            match self.kind {
+                EtsKind::Simple => {
+                    let mut level = series[0];
+                    let mut sse = 0.0;
+                    for &x in &series[1..] {
+                        let err = x - level;
+                        sse += err * err;
+                        level += alpha * err;
+                    }
+                    (level, sse)
+                }
+                EtsKind::Holt => {
+                    let mut level = series[0];
+                    let mut trend = if series.len() > 1 {
+                        series[1] - series[0]
+                    } else {
+                        0.0
+                    };
+                    let mut sse = 0.0;
+                    for &x in &series[1..] {
+                        let forecast = level + trend;
+                        let err = x - forecast;
+                        sse += err * err;
+                        let new_level = alpha * x + (1.0 - alpha) * (level + trend);
+                        trend = beta * (new_level - level) + (1.0 - beta) * trend;
+                        level = new_level;
+                    }
+                    (level + trend, sse)
+                }
+                EtsKind::HoltWinters { period } => {
+                    if series.len() < 2 * period {
+                        // Too short for seasonal init; degrade to Holt.
+                        let holt = Ets {
+                            kind: EtsKind::Holt,
+                            ..self.clone()
+                        };
+                        return holt.oracle_run(series, alpha, beta, 0.0);
+                    }
+                    // Initialize level/trend from the first two seasons and the
+                    // seasonal terms from first-season deviations.
+                    let s1: f64 = series[..period].iter().sum::<f64>() / period as f64;
+                    let s2: f64 = series[period..2 * period].iter().sum::<f64>() / period as f64;
+                    let mut level = s1;
+                    let mut trend = (s2 - s1) / period as f64;
+                    let mut seasonal: Vec<f64> = series[..period].iter().map(|&x| x - s1).collect();
+                    let mut sse = 0.0;
+                    for (t, &x) in series.iter().enumerate().skip(period) {
+                        let sidx = t % period;
+                        let forecast = level + trend + seasonal[sidx];
+                        let err = x - forecast;
+                        sse += err * err;
+                        let new_level =
+                            alpha * (x - seasonal[sidx]) + (1.0 - alpha) * (level + trend);
+                        trend = beta * (new_level - level) + (1.0 - beta) * trend;
+                        seasonal[sidx] = gamma * (x - new_level) + (1.0 - gamma) * seasonal[sidx];
+                        level = new_level;
+                    }
+                    let next_sidx = series.len() % period;
+                    (level + trend + seasonal[next_sidx], sse)
+                }
+            }
+        }
+
+        pub(crate) fn oracle_predict_next(&self, history: &[f64]) -> f64 {
+            if !self.fitted || history.len() < 2 {
+                return fallback_forecast(history);
+            }
+            let (forecast, _) = self.oracle_run(history, self.alpha, self.beta, self.gamma);
+            if forecast.is_finite() {
+                forecast
+            } else {
+                fallback_forecast(history)
+            }
+        }
     }
 }
 
@@ -273,30 +464,30 @@ mod tests {
     }
 
     #[test]
-    fn auto_selects_holt_winters_on_seasonal_data() {
-        let s: Vec<f64> = (0..96)
-            .map(|t| 10.0 + [0.0, 6.0, 9.0, 6.0, 0.0, -6.0, -9.0, -6.0][t % 8])
+    fn stream_sse_matches_the_oracle_over_the_fit_grid() {
+        // `fit` ranks the grid by the stream's SSE; it must be the
+        // oracle's to the bit, so the same parameters are selected.
+        let s: Vec<f64> = (0..90)
+            .map(|t| 10.0 + 0.1 * t as f64 + [0.0, 4.0, 7.0, 3.0, -2.0, -5.0][t % 6])
             .collect();
-        let m = Ets::auto(&s, 8).unwrap();
-        assert!(m.name().starts_with("ETS(HW"), "selected {}", m.name());
-    }
-
-    #[test]
-    fn auto_selects_holt_on_trending_data() {
-        let s: Vec<f64> = (0..80).map(|t| 2.0 * t as f64).collect();
-        let m = Ets::auto(&s, 8).unwrap();
-        assert!(
-            m.name().contains("Holt") || m.name().contains("HW"),
-            "selected {}",
-            m.name()
-        );
-        // Either way it must extrapolate the trend.
-        assert!((m.predict_next(&s) - 160.0).abs() < 2.0);
-    }
-
-    #[test]
-    fn auto_on_too_short_series_errors() {
-        assert!(Ets::auto(&[1.0; 4], 8).is_err());
+        for kind in [
+            EtsKind::Simple,
+            EtsKind::Holt,
+            EtsKind::HoltWinters { period: 6 },
+            EtsKind::HoltWinters { period: 60 },
+        ] {
+            let m = Ets::new(kind);
+            for (a, b, g) in [(0.05, 0.01, 0.05), (0.3, 0.1, 0.1), (0.9, 0.3, 0.3)] {
+                let mut stream = m.new_stream(a, b, g, false);
+                stream.push_slice(&s);
+                let (_, want) = m.oracle_run(&s, a, b, g);
+                assert_eq!(
+                    stream.state.sse.to_bits(),
+                    want.to_bits(),
+                    "{kind:?} {a} {b} {g}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -80,6 +80,33 @@ impl std::fmt::Display for PredictError {
 
 impl std::error::Error for PredictError {}
 
+/// Incremental one-step-ahead state of a fitted [`Forecaster`]: the
+/// values of a history are fed one at a time, oldest first, and the
+/// forecast for the value after them is read at any point.
+///
+/// A stream is created by [`Forecaster::stream`] and carries only
+/// fixed-size state (lags, levels, filter residues), so `push` and
+/// `forecast` cost O(1) per value however long the history grows.
+/// `Send + Sync` for the same reason as [`Forecaster`]: the serving
+/// layer keeps one stream per pool member alongside the pool.
+pub trait ForecastStream: Send + Sync {
+    /// Consumes the next history value.
+    fn push(&mut self, y: f64);
+
+    /// Consumes `ys` in order — exactly what pushing each value does; a
+    /// stream may override it to feed a whole history faster.
+    fn push_slice(&mut self, ys: &[f64]) {
+        for &y in ys {
+            self.push(y); // eadrl-lint: allow(hot-path-alloc): the stream's own `ForecastStream::push`, not `Vec::push`
+        }
+    }
+
+    /// The forecast for the value after everything pushed so far —
+    /// bitwise what [`Forecaster::predict_next`] returns for that
+    /// history.
+    fn forecast(&self) -> f64;
+}
+
 /// A one-step-ahead univariate forecaster.
 ///
 /// The contract mirrors how the paper uses base models:
@@ -126,6 +153,24 @@ pub trait Forecaster: Send + Sync {
                 bits: value.to_bits(),
             })
         }
+    }
+
+    /// An incremental state for serving a growing history, if the model
+    /// has one.
+    ///
+    /// Optional: `None` (the default) means callers serve the model
+    /// through [`Forecaster::predict_next`] on the whole history, which
+    /// is right for models that read only the last few lags. A model
+    /// whose forecast depends on the whole history (a filter or
+    /// smoothing recursion) returns a fresh stream here, and the stream
+    /// must give the same bits as `predict_next`: after pushing the
+    /// values of `history` in order, [`ForecastStream::forecast`]
+    /// returns exactly `predict_next(history)`, fallbacks included.
+    /// The simplest way to keep that promise is to implement
+    /// `predict_next` as "push `history` into a fresh stream, then
+    /// forecast", so there is one recurrence, not two.
+    fn stream(&self) -> Option<Box<dyn ForecastStream>> {
+        None
     }
 
     /// Declared worst-case per-call cost in microseconds, if the model

@@ -29,13 +29,17 @@ pub mod pcr;
 pub mod pls_model;
 pub mod pool;
 pub mod ppr;
+#[cfg(test)]
+mod stream_differential;
 pub mod svr;
 pub mod tabular;
 pub mod tree;
 
 pub use arima::Arima;
 pub use ets::{Ets, EtsKind};
-pub use forecaster::{fallback_forecast, rolling_forecast, Forecaster, ModelError, PredictError};
+pub use forecaster::{
+    fallback_forecast, rolling_forecast, ForecastStream, Forecaster, ModelError, PredictError,
+};
 pub use gbm::gradient_boosting;
 pub use gp::gaussian_process;
 pub use linear::auto_regressive;
