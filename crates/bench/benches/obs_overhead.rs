@@ -21,7 +21,7 @@
 use eadrl_bench::harness::{Harness, Summary};
 use eadrl_bench::{json_output, print_json_report};
 use eadrl_obs::{JsonlSink, Level};
-use eadrl_rl::{ActionSquash, DdpgAgent, DdpgConfig, SamplingStrategy, Transition, UpdatePath};
+use eadrl_rl::{ActionSquash, DdpgAgent, DdpgConfig, SamplingStrategy, Transition};
 use eadrl_rng::DetRng;
 use std::hint::black_box;
 
@@ -42,7 +42,6 @@ fn seeded_agent() -> DdpgAgent {
             hidden: vec![32, 32],
             squash: ActionSquash::BoundedSoftmax { scale: 6.0 },
             seed: 42,
-            update_path: UpdatePath::Batched,
             ..Default::default()
         },
     );
@@ -88,15 +87,12 @@ fn bench_modes(c: &mut Harness) -> Vec<(String, Summary)> {
                 std::io::sink(),
             ))));
             eadrl_obs::set_level(level);
-            b.iter_batched(
-                || seeded_agent(),
-                |mut agent| {
-                    for _ in 0..UPDATES_PER_RUN {
-                        agent.update();
-                    }
-                    black_box(agent.updates())
-                },
-            );
+            b.iter_batched(seeded_agent, |mut agent| {
+                for _ in 0..UPDATES_PER_RUN {
+                    agent.update();
+                }
+                black_box(agent.updates())
+            });
             eadrl_obs::set_level(None);
         });
     }

@@ -1,6 +1,7 @@
 //! Benchmarks for the fused stacked-gate recurrent training path:
 //! windows-as-matrix LSTM/BiLSTM training epochs and the im2col Conv1d
-//! batch pass against their per-sequence predecessors.
+//! batch pass against the per-sequence reference loops of
+//! `eadrl_nn::reference`.
 //!
 //! Flags (combinable):
 //! - `--quick`   shrink the measurement budget for CI smoke runs;
@@ -20,6 +21,10 @@
 use eadrl_bench::harness::{Harness, Summary};
 use eadrl_bench::{json_output, print_json_report};
 use eadrl_linalg::Matrix;
+use eadrl_nn::reference::{
+    bilstm_backward_last, bilstm_forward, conv_backward, conv_forward, lstm_backward_last,
+    lstm_forward,
+};
 use eadrl_nn::{
     mse_loss_grad, Activation, Adam, BiLstm, BiRecurrentWorkspace, Conv1d, ConvWorkspace, Dense,
     Lstm, Network, Optimizer, RecurrentWorkspace,
@@ -99,11 +104,11 @@ fn bench_lstm_epoch(c: &mut Harness, batch_sizes: &[usize]) -> Vec<(usize, Summa
                     g.zero_grad();
                     for &i in chunk {
                         let seq: Vec<Vec<f64>> = windows[i].iter().map(|&v| vec![v]).collect();
-                        let h = g.0.forward_sequence(&seq);
-                        let y = g.1.forward(&h);
+                        let trace = lstm_forward(g.0, &seq);
+                        let y = g.1.forward(trace.last_hidden());
                         let gr = mse_loss_grad(&y, &[targets[i]]);
                         let gh = g.1.backward(&gr);
-                        g.0.backward_last(&gh);
+                        lstm_backward_last(g.0, &trace, &gh);
                     }
                     g.clip_grad_norm(5.0);
                     opt.step(&mut g);
@@ -182,11 +187,11 @@ fn bench_bilstm_epoch(c: &mut Harness, batch: usize) -> Vec<(String, Summary)> {
                 g.zero_grad();
                 for &i in chunk {
                     let seq: Vec<Vec<f64>> = windows[i].iter().map(|&v| vec![v]).collect();
-                    let h = g.0.forward_sequence(&seq);
-                    let y = g.1.forward(&h);
+                    let trace = bilstm_forward(g.0, &seq);
+                    let y = g.1.forward(&trace.output());
                     let gr = mse_loss_grad(&y, &[targets[i]]);
                     let gh = g.1.backward(&gr);
-                    g.0.backward_last(&gh);
+                    bilstm_backward_last(g.0, &trace, &gh);
                 }
                 g.clip_grad_norm(5.0);
                 opt.step(&mut g);
@@ -255,12 +260,13 @@ fn bench_conv_batch(c: &mut Harness, batch: usize) -> Vec<(String, Summary)> {
             |mut conv| {
                 conv.zero_grad();
                 for w in windows.iter().take(batch) {
-                    let y = conv.forward(std::slice::from_ref(w));
+                    let input = std::slice::from_ref(w);
+                    let y = conv_forward(&conv, input);
                     let g: Vec<Vec<f64>> = y
                         .iter()
                         .map(|ch| ch.iter().map(|v| v - 0.25).collect())
                         .collect();
-                    conv.backward(&g);
+                    conv_backward(&mut conv, input, &y, &g);
                 }
                 black_box(conv.grad_norm())
             },

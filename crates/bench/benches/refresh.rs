@@ -35,12 +35,13 @@ const MODELS: usize = 5;
 const WARM_EPISODES: usize = 2;
 
 fn bench_config() -> EaDrlConfig {
-    let mut config = EaDrlConfig::default();
-    config.omega = 6;
-    config.episodes = 8;
-    config.max_iter = 40;
-    config.restarts = 2;
-    config
+    EaDrlConfig {
+        omega: 6,
+        episodes: 8,
+        max_iter: 40,
+        restarts: 2,
+        ..Default::default()
+    }
 }
 
 /// Deterministic synthetic stream: `MODELS` forecasters of staggered

@@ -8,7 +8,7 @@ use crate::persist::PolicySnapshot;
 use eadrl_linalg::vector::dot;
 use eadrl_models::{fallback_forecast, Forecaster, ModelError};
 use eadrl_obs::Level;
-use eadrl_rl::{ActionSquash, DdpgAgent, DdpgConfig, EpisodeStats, SamplingStrategy, UpdatePath};
+use eadrl_rl::{ActionSquash, DdpgAgent, DdpgConfig, EpisodeStats, SamplingStrategy};
 use eadrl_timeseries::sanitize::sanitize_series;
 use eadrl_timeseries::window::SlideWindow;
 
@@ -105,7 +105,6 @@ impl Default for EaDrlConfig {
                 squash: ActionSquash::Softmax,
                 noise_sigma: 0.3,
                 actor_logit_reg: 1e-3,
-                update_path: UpdatePath::Batched,
                 seed: 0,
             },
         }

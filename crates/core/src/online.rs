@@ -392,12 +392,13 @@ mod tests {
     use eadrl_timeseries::metrics::rmse;
 
     fn quick_config() -> EaDrlConfig {
-        let mut config = EaDrlConfig::default();
-        config.omega = 6;
-        config.episodes = 8;
-        config.max_iter = 40;
-        config.restarts = 1;
-        config
+        EaDrlConfig {
+            omega: 6,
+            episodes: 8,
+            max_iter: 40,
+            restarts: 1,
+            ..Default::default()
+        }
     }
 
     /// Model 0 accurate before the flip, model 1 after, model 2 never.

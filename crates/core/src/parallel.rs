@@ -191,7 +191,7 @@ mod tests {
             Ok(())
         }
         fn predict_next(&self, history: &[f64]) -> f64 {
-            if self.nan_every > 0 && history.len() % self.nan_every == 0 {
+            if self.nan_every > 0 && history.len().is_multiple_of(self.nan_every) {
                 f64::NAN
             } else {
                 history.last().copied().unwrap_or(0.0) + 1.0

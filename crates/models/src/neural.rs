@@ -9,16 +9,14 @@
 //! each shuffled chunk into a row matrix and runs one
 //! [`Mlp::forward_batch`]/[`Mlp::backward_batch`] per network instead of
 //! one pass per sample. The recurrent families (LSTM, Bi-LSTM, CNN-LSTM,
-//! Conv-LSTM) stage the chunk's windows as one `B x in_dim` matrix *per
-//! timestep* and run the stacked-gate kernels over persistent workspaces
-//! ([`eadrl_nn::RecurrentWorkspace`] and friends): the sequential
-//! recurrence still walks timesteps one at a time, but each step is a
-//! batch-wide GEMM rather than B matvec loops. Both paths are bitwise
-//! identical to the per-sample loops (the kernels preserve per-element
-//! accumulation order; see `crates/nn/tests/recurrent_equivalence.rs`).
-//! The two-layer stacked LSTM keeps the per-sample reference fit — its
-//! layer-1 hidden sequence feeds layer 2 step-by-step, and the family is
-//! a paper baseline, not a pool member, so it stays on the readable path.
+//! Conv-LSTM and the stacked StLSTM baseline) stage the chunk's windows
+//! as one `B x in_dim` matrix *per timestep* and run the stacked-gate
+//! kernels over persistent workspaces ([`eadrl_nn::RecurrentWorkspace`]
+//! and friends): the sequential recurrence still walks timesteps one at
+//! a time, but each step is a batch-wide GEMM rather than B matvec loops.
+//! Both paths are bitwise identical to the per-sample loops of
+//! `eadrl_nn::reference` (the kernels preserve per-element accumulation
+//! order; see `crates/nn/tests/recurrent_equivalence.rs`).
 //!
 //! `predict_next` is alloc-free in steady state for all recurrent
 //! families: each regressor carries a `Scratch`-wrapped inference cache
@@ -174,11 +172,6 @@ impl TabularModel for MlpRegressor {
             .as_ref()
             .map_or(0.0, |n| n.forward_inference(input)[0])
     }
-}
-
-/// Turns a window into a sequence of 1-dimensional inputs.
-fn window_to_seq(window: &[f64]) -> Vec<Vec<f64>> {
-    window.iter().map(|&v| vec![v]).collect()
 }
 
 /// LSTM regressor (paper family **LSTM**): LSTM over the window as a
@@ -632,26 +625,57 @@ impl TabularModel for StackedLstmRegressor {
                 got: inputs.len(),
             });
         }
+        let steps = inputs[0].len();
+        let (h1, h2) = (self.hidden1, self.hidden2);
         let mut rng = DetRng::seed_from_u64(self.seed);
-        let mut lstm1 = Lstm::new(&mut rng, 1, self.hidden1);
-        let mut lstm2 = Lstm::new(&mut rng, self.hidden1, self.hidden2);
-        let mut head = Dense::new(&mut rng, self.hidden2, 1, Activation::Identity);
+        let mut lstm1 = Lstm::new(&mut rng, 1, h1);
+        let mut lstm2 = Lstm::new(&mut rng, h1, h2);
+        let mut head = Dense::new(&mut rng, h2, 1, Activation::Identity);
         let mut opt = Adam::new(self.lr);
+        let mut ws1 = RecurrentWorkspace::new();
+        let mut ws2 = RecurrentWorkspace::new();
+        let mut hb = Matrix::default();
+        let mut gb = Matrix::default();
         for _ in 0..self.epochs {
             let order = shuffled_indices(inputs.len(), &mut rng);
             for chunk in order.chunks(BATCH) {
                 let mut group = ParamGroup3(&mut lstm1, &mut lstm2, &mut head);
                 group.zero_grad();
-                for &i in chunk {
-                    let seq = window_to_seq(&inputs[i]);
-                    let hs1 = group.0.forward_sequence_full(&seq);
-                    let h2 = group.1.forward_sequence(&hs1);
-                    let y = group.2.forward(&h2);
-                    let g = mse_loss_grad(&y, &[targets[i]]);
-                    let gh2 = group.2.backward(&g);
-                    let gh1 = group.1.backward_last(&gh2);
-                    group.0.backward_full(&gh1);
+                let n = chunk.len();
+                ws1.stage(n, steps, 1, h1);
+                for (s, &i) in chunk.iter().enumerate() {
+                    debug_assert_eq!(inputs[i].len(), steps, "uniform window length");
+                    for (t, v) in inputs[i].iter().enumerate() {
+                        ws1.set_input(s, t, std::slice::from_ref(v));
+                    }
                 }
+                group.0.forward_batch(&mut ws1);
+                // Layer 1's hidden block at each step is layer 2's input.
+                ws2.stage(n, steps, h1, h2);
+                for t in 0..steps {
+                    let hs = ws1.h(t);
+                    for s in 0..n {
+                        ws2.set_input(s, t, &hs[s * h1..(s + 1) * h1]);
+                    }
+                }
+                group.1.forward_batch(&mut ws2);
+                hb.resize(n, h2);
+                hb.data_mut().copy_from_slice(ws2.h_last());
+                gb.resize(n, 1);
+                {
+                    let out = group.2.forward_batch(&hb);
+                    for (r, &i) in chunk.iter().enumerate() {
+                        let g = mse_loss_grad(out.row(r), &[targets[i]]);
+                        gb.row_mut(r).copy_from_slice(&g);
+                    }
+                }
+                let gh = group.2.backward_batch(&gb);
+                group.1.backward_batch_last(gh.data(), &mut ws2, true);
+                // Layer 2's input gradients flow into every layer-1 step.
+                for t in 0..steps {
+                    ws1.grad_h_mut(t).copy_from_slice(ws2.grad_x(t));
+                }
+                group.0.backward_batch_full(&mut ws1, false);
                 group.clip_grad_norm(5.0);
                 opt.step(&mut group);
             }

@@ -1,19 +1,19 @@
 //! 1-D convolution layer (valid padding, stride 1).
 //!
-//! All arithmetic routes through the `eadrl_linalg` kernels: the
-//! single-sample paths gather each receptive field into an `in_ch * k`
-//! patch and run a bias-seeded `gemm_acc` (the accumulation chain starts
-//! at `b[oc]` and adds products in ascending `(ic, k)` order — the exact
-//! per-element chain of the original hand-rolled loops), and the batched
-//! training path ([`Conv1d::forward_batch`]) stages every window's
+//! All arithmetic routes through the `eadrl_linalg` kernels. Training
+//! runs one path: [`Conv1d::forward_batch`] stages every window's
 //! receptive fields as an im2col matrix and runs one bias-seeded NT GEMM
-//! plus one `gemm_tn_acc` for the weight gradients. The two paths are
-//! bitwise-identical; `tests/recurrent_equivalence.rs` proves it.
+//! (each element's accumulation chain starts at `b[oc]` and adds products
+//! in ascending `(ic, k)` order), plus one `gemm_tn_acc` for the weight
+//! gradients. Serving runs the single-window
+//! [`Conv1d::forward_inference_cached`]. The per-sample loops live on in
+//! [`crate::reference`]; `tests/recurrent_equivalence.rs` proves the
+//! batched path bitwise-identical to them.
 
 use crate::activation::Activation;
 use crate::init;
 use crate::network::Network;
-use eadrl_linalg::{kernels, vector};
+use eadrl_linalg::kernels;
 use eadrl_rng::DetRng;
 
 /// Persistent buffers for the batched conv training path: staged inputs,
@@ -85,17 +85,15 @@ pub struct ConvInferenceCache {
 /// CNN-LSTM base forecaster.
 #[derive(Debug, Clone)]
 pub struct Conv1d {
-    in_channels: usize,
-    out_channels: usize,
-    kernel: usize,
-    activation: Activation,
+    pub(crate) in_channels: usize,
+    pub(crate) out_channels: usize,
+    pub(crate) kernel: usize,
+    pub(crate) activation: Activation,
     /// Weights laid out `[out_ch][in_ch][k]`.
-    w: Vec<f64>,
-    b: Vec<f64>,
-    grad_w: Vec<f64>,
-    grad_b: Vec<f64>,
-    cache_input: Vec<Vec<f64>>,
-    cache_output: Vec<Vec<f64>>,
+    pub(crate) w: Vec<f64>,
+    pub(crate) b: Vec<f64>,
+    pub(crate) grad_w: Vec<f64>,
+    pub(crate) grad_b: Vec<f64>,
 }
 
 impl Conv1d {
@@ -126,8 +124,6 @@ impl Conv1d {
             b: vec![0.0; out_channels],
             grad_w: vec![0.0; n],
             grad_b: vec![0.0; out_channels],
-            cache_input: Vec::new(),
-            cache_output: Vec::new(),
         }
     }
 
@@ -144,101 +140,6 @@ impl Conv1d {
     /// Output length for an input of length `len` (0 when too short).
     pub fn out_len(&self, len: usize) -> usize {
         (len + 1).saturating_sub(self.kernel)
-    }
-
-    fn weight(&self, oc: usize, ic: usize, k: usize) -> f64 {
-        self.w[(oc * self.in_channels + ic) * self.kernel + k]
-    }
-
-    /// Training forward pass (caches input and output).
-    ///
-    /// # Panics
-    /// Debug-panics when the channel count mismatches or the input is
-    /// shorter than the kernel.
-    pub fn forward(&mut self, input: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        let out = self.forward_inference(input);
-        self.cache_input = input.to_vec();
-        self.cache_output = out.clone();
-        out
-    }
-
-    /// Gathers the receptive field at output position `t` into `patch`
-    /// (`in_ch * kernel`, matching the weight layout `[ic][k]`).
-    fn gather_patch(&self, input: &[Vec<f64>], t: usize, patch: &mut [f64]) {
-        for (ic, ich) in input.iter().enumerate() {
-            patch[ic * self.kernel..(ic + 1) * self.kernel]
-                .copy_from_slice(&ich[t..t + self.kernel]);
-        }
-    }
-
-    /// Inference-only forward pass.
-    ///
-    /// Each output column is a bias-seeded `gemm_acc` over the gathered
-    /// receptive field: the accumulation chain for `out[oc][t]` starts at
-    /// `b[oc]` and adds products in ascending `(ic, k)` order, exactly as
-    /// the original scalar loops did.
-    pub fn forward_inference(&self, input: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        debug_assert_eq!(input.len(), self.in_channels, "Conv1d: channel count");
-        let len = input.first().map_or(0, Vec::len);
-        debug_assert!(len >= self.kernel, "Conv1d: input shorter than kernel");
-        let out_len = self.out_len(len);
-        let ick = self.in_channels * self.kernel;
-        let mut out = vec![vec![0.0; out_len]; self.out_channels];
-        let mut patch = vec![0.0; ick];
-        let mut col = vec![0.0; self.out_channels];
-        for t in 0..out_len {
-            self.gather_patch(input, t, &mut patch);
-            col.copy_from_slice(&self.b);
-            kernels::gemm_acc(self.out_channels, ick, 1, &self.w, &patch, &mut col);
-            for (och, &s) in out.iter_mut().zip(col.iter()) {
-                och[t] = self.activation.apply(s);
-            }
-        }
-        out
-    }
-
-    /// Backward pass: accumulates parameter gradients and returns input
-    /// gradients (channel-major, same shape as the forward input).
-    ///
-    /// Weight gradients route through `vector::axpy` over the gathered
-    /// receptive field (per weight element the contributions stay in
-    /// ascending-`t` order). The input-gradient scatter stays scalar: its
-    /// writes overlap across output positions, so a col2im GEMM would
-    /// reorder the accumulation.
-    pub fn backward(&mut self, grad_output: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        debug_assert_eq!(grad_output.len(), self.out_channels);
-        debug_assert!(
-            !self.cache_input.is_empty(),
-            "Conv1d backward called before forward"
-        );
-        let in_len = self.cache_input[0].len();
-        let ick = self.in_channels * self.kernel;
-        let mut grad_input = vec![vec![0.0; in_len]; self.in_channels];
-        let mut patch = vec![0.0; ick];
-        let out_len = self.out_len(in_len);
-        for t in 0..out_len {
-            for (ic, ich) in self.cache_input.iter().enumerate() {
-                patch[ic * self.kernel..(ic + 1) * self.kernel]
-                    .copy_from_slice(&ich[t..t + self.kernel]);
-            }
-            for oc in 0..self.out_channels {
-                let gy = grad_output[oc][t];
-                let y = self.cache_output[oc][t];
-                let dz = gy * self.activation.derivative_from_output(y);
-                // eadrl-lint: allow(no-float-eq): ReLU subgradient — exact zero means no gradient flows, skip is lossless
-                if dz == 0.0 {
-                    continue;
-                }
-                self.grad_b[oc] += dz;
-                vector::axpy(dz, &patch, &mut self.grad_w[oc * ick..(oc + 1) * ick]);
-                for ic in 0..self.in_channels {
-                    for k in 0..self.kernel {
-                        grad_input[ic][t + k] += dz * self.weight(oc, ic, k);
-                    }
-                }
-            }
-        }
-        grad_input
     }
 
     /// Sizes the workspace for a batch of `batch` windows of length
@@ -263,7 +164,7 @@ impl Conv1d {
     /// gather plus one bias-seeded NT GEMM for the whole minibatch.
     /// Output rows land in the workspace time-major per sample
     /// ([`ConvWorkspace::output_row`]); bitwise-identical to running
-    /// [`Conv1d::forward`] per sample.
+    /// [`crate::reference::conv_forward`] per sample.
     pub fn forward_batch(&self, ws: &mut ConvWorkspace) {
         let mut span = eadrl_obs::span_at(eadrl_obs::Level::Trace, "nn.conv.forward_batch");
         span.record("rows", ws.batch.into());
@@ -293,8 +194,9 @@ impl Conv1d {
     /// caller stages upstream gradients via
     /// [`ConvWorkspace::grad_output_row_mut`]. Input gradients are not
     /// produced — in the CNN-LSTM wiring the convolution is the first
-    /// layer, so nothing consumes them (the single-sample
-    /// [`Conv1d::backward`] still computes them for gradient checking).
+    /// layer, so nothing consumes them (the per-sample
+    /// [`crate::reference::conv_backward`] still computes them for
+    /// gradient checking).
     pub fn backward_batch_weights_only(&mut self, ws: &mut ConvWorkspace) {
         let mut span = eadrl_obs::span_at(eadrl_obs::Level::Trace, "nn.conv.backward_batch");
         span.record("rows", ws.batch.into());
@@ -320,7 +222,7 @@ impl Conv1d {
     /// Alloc-free single-window inference for the single-input-channel
     /// case: returns the *time-major* output (`out_len x out_ch` flat),
     /// ready to be consumed as a strided LSTM input sequence. Values are
-    /// bitwise-identical to [`Conv1d::forward_inference`] (which is
+    /// bitwise-identical to [`crate::reference::conv_forward`] (which is
     /// channel-major).
     pub fn forward_inference_cached<'a>(
         &self,
@@ -365,6 +267,7 @@ impl Network for Conv1d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::{conv_backward, conv_forward};
 
     #[test]
     fn output_length_is_valid_conv() {
@@ -373,7 +276,7 @@ mod tests {
         assert_eq!(conv.out_len(5), 3);
         assert_eq!(conv.out_len(3), 1);
         assert_eq!(conv.out_len(2), 0);
-        let out = conv.forward_inference(&[vec![1.0, 2.0, 3.0, 4.0, 5.0]]);
+        let out = conv_forward(&conv, &[vec![1.0, 2.0, 3.0, 4.0, 5.0]]);
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].len(), 3);
     }
@@ -384,7 +287,7 @@ mod tests {
         let mut conv = Conv1d::new(&mut rng, 1, 1, 1, Activation::Identity);
         conv.w = vec![1.0];
         conv.b = vec![0.0];
-        let out = conv.forward(&[vec![3.0, -1.0, 4.0]]);
+        let out = conv_forward(&conv, &[vec![3.0, -1.0, 4.0]]);
         assert_eq!(out[0], vec![3.0, -1.0, 4.0]);
     }
 
@@ -394,7 +297,7 @@ mod tests {
         let mut conv = Conv1d::new(&mut rng, 1, 1, 2, Activation::Identity);
         conv.w = vec![0.5, 0.5];
         conv.b = vec![0.0];
-        let out = conv.forward(&[vec![1.0, 3.0, 5.0]]);
+        let out = conv_forward(&conv, &[vec![1.0, 3.0, 5.0]]);
         assert_eq!(out[0], vec![2.0, 4.0]);
     }
 
@@ -403,15 +306,12 @@ mod tests {
         let mut rng = DetRng::seed_from_u64(3);
         let mut conv = Conv1d::new(&mut rng, 2, 2, 2, Activation::Tanh);
         let input = vec![vec![0.2, -0.4, 0.6, 0.1], vec![0.5, 0.3, -0.2, 0.8]];
-        let out = conv.forward(&input);
+        let out = conv_forward(&conv, &input);
         let ones: Vec<Vec<f64>> = out.iter().map(|c| vec![1.0; c.len()]).collect();
-        let gin = conv.backward(&ones);
+        let gin = conv_backward(&mut conv, &input, &out, &ones);
 
         let loss = |c: &Conv1d, inp: &[Vec<f64>]| -> f64 {
-            c.forward_inference(inp)
-                .iter()
-                .flat_map(|ch| ch.iter())
-                .sum()
+            conv_forward(c, inp).iter().flat_map(|ch| ch.iter()).sum()
         };
         let h = 1e-6;
         // Weight gradients.
@@ -487,7 +387,7 @@ mod tests {
         }
         // Per-sample reference over the same data and gradients.
         for (s, win) in wins.iter().enumerate() {
-            let out = reference.forward(std::slice::from_ref(win));
+            let out = conv_forward(&reference, std::slice::from_ref(win));
             for t in 0..t_out {
                 for oc in 0..3 {
                     assert_eq!(ws.output_row(s, t)[oc], out[oc][t], "y s={s} t={t} oc={oc}");
@@ -506,7 +406,7 @@ mod tests {
                         .collect()
                 })
                 .collect();
-            reference.backward(&gy);
+            conv_backward(&mut reference, std::slice::from_ref(win), &out, &gy);
         }
         batched.backward_batch_weights_only(&mut ws);
         assert_eq!(batched.grad_w, reference.grad_w);
@@ -520,7 +420,7 @@ mod tests {
         let window = [0.4, -0.2, 0.9, 0.0, -0.7, 0.3];
         let mut cache = ConvInferenceCache::default();
         let y = conv.forward_inference_cached(&window, &mut cache);
-        let expect = conv.forward_inference(&[window.to_vec()]);
+        let expect = conv_forward(&conv, &[window.to_vec()]);
         for t in 0..conv.out_len(window.len()) {
             for oc in 0..4 {
                 assert_eq!(y[t * 4 + oc], expect[oc][t], "t={t} oc={oc}");

@@ -241,8 +241,8 @@ mod tests {
                 .iter()
                 .map(|w| {
                     let seq: Vec<Vec<f64>> = w.iter().map(|&v| vec![v]).collect();
-                    let h = net.forward_inference(&seq);
-                    0.5 * h.iter().map(|v| v * v).sum::<f64>()
+                    let trace = crate::reference::lstm_forward(net, &seq);
+                    0.5 * trace.last_hidden().iter().map(|v| v * v).sum::<f64>()
                 })
                 .sum()
         };
@@ -284,7 +284,7 @@ mod tests {
             windows
                 .iter()
                 .map(|w| {
-                    let y = net.forward_inference(std::slice::from_ref(w));
+                    let y = crate::reference::conv_forward(net, std::slice::from_ref(w));
                     0.5 * y
                         .iter()
                         .flat_map(|ch| ch.iter())

@@ -11,14 +11,15 @@
 //!
 //! Scope is deliberately small: forward/backward passes over `f64` slices,
 //! explicit gradient buffers per layer, and optimizers that walk a
-//! network's parameters via the [`Network`] visitor. Single-sample paths
-//! are the readable reference implementations; the hot training loops go
-//! through batched, workspace-backed paths (minibatch-as-matrix GEMMs for
-//! [`Dense`]/[`Mlp`], stacked-gate recurrent kernels for [`Lstm`]/
-//! [`BiLstm`]/[`Conv1d`]) that are proven bitwise-identical to them.
-//!
-//! Layers cache their forward activations, so the usage pattern is strictly
-//! `forward` → `backward` → optimizer `step` → `zero_grad`.
+//! network's parameters via the [`Network`] visitor. Every layer trains
+//! through one batched, workspace-backed path: minibatch-as-matrix GEMMs
+//! for [`Dense`]/[`Mlp`] (whose per-sample `forward`/`backward` are the
+//! batch-of-1 case of the same code) and stacked-gate recurrent kernels
+//! for [`Lstm`]/[`BiLstm`]/[`Conv1d`]. The per-sequence and per-sample
+//! loops those kernels replaced are kept in
+//! [`reference`](mod@reference) as the differential oracle the batched
+//! paths are proven bitwise-identical to; [`gradcheck`] checks any layer
+//! against finite differences.
 
 pub mod activation;
 pub mod conv;
@@ -30,6 +31,7 @@ pub mod lstm;
 pub mod mlp;
 pub mod network;
 pub mod optimizer;
+pub mod reference;
 
 pub use activation::Activation;
 pub use conv::{Conv1d, ConvInferenceCache, ConvWorkspace};

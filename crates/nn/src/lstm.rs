@@ -1,18 +1,17 @@
 //! LSTM and bidirectional-LSTM sequence layers with full BPTT.
 //!
-//! Two training paths coexist and are bitwise-interchangeable:
+//! Each layer trains through one path: the batched
+//! [`Lstm::forward_batch`] / [`Lstm::backward_batch_last`] /
+//! [`Lstm::backward_batch_full`] family, which stages B training windows
+//! as one `B x in_dim` matrix per timestep and runs the stacked-gate
+//! kernels from `eadrl_linalg` over a persistent [`RecurrentWorkspace`]
+//! (SoA step caches, zero steady-state allocations). Serving runs the
+//! strided single-window [`Lstm::forward_inference_cached`]. The layers
+//! hold no training state; the per-sequence loops the batched path
+//! replaced live on in [`crate::reference`] as its differential oracle.
 //!
-//! * the original per-sequence path ([`Lstm::forward_sequence`] /
-//!   [`Lstm::backward_last`]), kept as the reference implementation and
-//!   still used by the stacked-LSTM family, and
-//! * the batched path ([`Lstm::forward_batch`] / [`Lstm::backward_batch_last`]),
-//!   which stages B training windows as one `B x in_dim` matrix per
-//!   timestep and runs the stacked-gate kernels from `eadrl_linalg` over a
-//!   persistent [`RecurrentWorkspace`] (SoA step caches, zero steady-state
-//!   allocations).
-//!
-//! Bitwise equivalence of the two paths rests on three invariants, proven
-//! by `tests/recurrent_equivalence.rs`:
+//! Bitwise equivalence of the batched path and that reference rests on
+//! three invariants, proven by `tests/recurrent_equivalence.rs`:
 //!
 //! 1. the gate pre-activations are formed as `b + (W·x + U·h)` with each
 //!    GEMM element accumulated in ascending-k order from 0.0 — the exact
@@ -29,23 +28,6 @@ use crate::init;
 use crate::network::Network;
 use eadrl_linalg::{kernels, vector};
 use eadrl_rng::DetRng;
-
-/// Per-timestep cache of everything the backward pass needs.
-#[derive(Debug, Clone, Default)]
-struct StepCache {
-    x: Vec<f64>,
-    h_prev: Vec<f64>,
-    c_prev: Vec<f64>,
-    i: Vec<f64>,
-    f: Vec<f64>,
-    g: Vec<f64>,
-    o: Vec<f64>,
-    // Not read by the backward pass (it uses `tanh_c`), but kept so the
-    // serialized cache stays a complete record of the forward step.
-    #[allow(dead_code)]
-    c: Vec<f64>,
-    tanh_c: Vec<f64>,
-}
 
 /// Persistent SoA step caches for the batched LSTM training path.
 ///
@@ -157,6 +139,14 @@ impl RecurrentWorkspace {
         &self.h[(self.steps - 1) * bh..]
     }
 
+    /// Hidden states of timestep `t` after [`Lstm::forward_batch`]
+    /// (`B x hidden`, sample-major) — the next layer's input block in a
+    /// stacked LSTM.
+    pub fn h(&self, t: usize) -> &[f64] {
+        let bh = self.batch * self.hidden;
+        &self.h[t * bh..(t + 1) * bh]
+    }
+
     /// Input-gradient block for timestep `t` (`B x in_dim`), valid after a
     /// backward pass requested input gradients.
     pub fn grad_x(&self, t: usize) -> &[f64] {
@@ -197,15 +187,14 @@ pub struct BiLstmInferenceCache {
 /// memory open early in training).
 #[derive(Debug, Clone)]
 pub struct Lstm {
-    in_dim: usize,
-    hidden: usize,
-    w: Vec<f64>,
-    u: Vec<f64>,
-    b: Vec<f64>,
-    grad_w: Vec<f64>,
-    grad_u: Vec<f64>,
-    grad_b: Vec<f64>,
-    cache: Vec<StepCache>,
+    pub(crate) in_dim: usize,
+    pub(crate) hidden: usize,
+    pub(crate) w: Vec<f64>,
+    pub(crate) u: Vec<f64>,
+    pub(crate) b: Vec<f64>,
+    pub(crate) grad_w: Vec<f64>,
+    pub(crate) grad_u: Vec<f64>,
+    pub(crate) grad_b: Vec<f64>,
 }
 
 impl Lstm {
@@ -227,7 +216,6 @@ impl Lstm {
             w,
             u,
             b,
-            cache: Vec::new(),
         }
     }
 
@@ -241,204 +229,11 @@ impl Lstm {
         self.hidden
     }
 
-    /// Runs the sequence and returns the final hidden state, caching the
-    /// full unrolled pass for [`Lstm::backward_last`].
-    pub fn forward_sequence(&mut self, inputs: &[Vec<f64>]) -> Vec<f64> {
-        self.cache.clear();
-        let mut h = vec![0.0; self.hidden];
-        let mut c = vec![0.0; self.hidden];
-        for x in inputs {
-            let (nh, nc, step) = self.step(x, &h, &c);
-            self.cache.push(step);
-            h = nh;
-            c = nc;
-        }
-        h
-    }
-
-    /// Runs the sequence and returns *every* hidden state (training pass;
-    /// caches for [`Lstm::backward_full`]). Used by stacked LSTMs, where
-    /// the next layer consumes the full hidden sequence.
-    pub fn forward_sequence_full(&mut self, inputs: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        self.cache.clear();
-        let mut h = vec![0.0; self.hidden];
-        let mut c = vec![0.0; self.hidden];
-        let mut out = Vec::with_capacity(inputs.len());
-        for x in inputs {
-            let (nh, nc, step) = self.step(x, &h, &c);
-            self.cache.push(step);
-            h = nh;
-            c = nc;
-            out.push(h.clone());
-        }
-        out
-    }
-
-    /// Inference-only pass returning every hidden state.
-    pub fn forward_inference_full(&self, inputs: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        let mut h = vec![0.0; self.hidden];
-        let mut c = vec![0.0; self.hidden];
-        let mut out = Vec::with_capacity(inputs.len());
-        for x in inputs {
-            let (nh, nc, _) = self.step_no_cache(x, &h, &c);
-            h = nh;
-            c = nc;
-            out.push(h.clone());
-        }
-        out
-    }
-
-    /// Inference-only pass (no caching); returns the final hidden state.
-    pub fn forward_inference(&self, inputs: &[Vec<f64>]) -> Vec<f64> {
-        let mut h = vec![0.0; self.hidden];
-        let mut c = vec![0.0; self.hidden];
-        for x in inputs {
-            let (nh, nc, _) = self.step_no_cache(x, &h, &c);
-            h = nh;
-            c = nc;
-        }
-        h
-    }
-
-    fn step(&self, x: &[f64], h_prev: &[f64], c_prev: &[f64]) -> (Vec<f64>, Vec<f64>, StepCache) {
-        debug_assert_eq!(x.len(), self.in_dim, "Lstm step: input dim");
-        let hsz = self.hidden;
-        // z = W x + U h_prev + b, gate blocks [i | f | g | o].
-        let mut z = self.b.clone();
-        for (row, zv) in z.iter_mut().enumerate() {
-            let wrow = &self.w[row * self.in_dim..(row + 1) * self.in_dim];
-            let urow = &self.u[row * hsz..(row + 1) * hsz];
-            *zv += wrow.iter().zip(x.iter()).map(|(a, b)| a * b).sum::<f64>()
-                + urow
-                    .iter()
-                    .zip(h_prev.iter())
-                    .map(|(a, b)| a * b)
-                    .sum::<f64>();
-        }
-        let sigmoid = |v: f64| 1.0 / (1.0 + (-v).exp());
-        let i: Vec<f64> = z[..hsz].iter().map(|&v| sigmoid(v)).collect();
-        let f: Vec<f64> = z[hsz..2 * hsz].iter().map(|&v| sigmoid(v)).collect();
-        let g: Vec<f64> = z[2 * hsz..3 * hsz].iter().map(|&v| v.tanh()).collect();
-        let o: Vec<f64> = z[3 * hsz..].iter().map(|&v| sigmoid(v)).collect();
-        let c: Vec<f64> = (0..hsz).map(|k| f[k] * c_prev[k] + i[k] * g[k]).collect();
-        let tanh_c: Vec<f64> = c.iter().map(|v| v.tanh()).collect();
-        let h: Vec<f64> = (0..hsz).map(|k| o[k] * tanh_c[k]).collect();
-        let cache = StepCache {
-            x: x.to_vec(),
-            h_prev: h_prev.to_vec(),
-            c_prev: c_prev.to_vec(),
-            i,
-            f,
-            g,
-            o,
-            c: c.clone(),
-            tanh_c,
-        };
-        (h, c, cache)
-    }
-
-    fn step_no_cache(&self, x: &[f64], h_prev: &[f64], c_prev: &[f64]) -> (Vec<f64>, Vec<f64>, ()) {
-        let (h, c, _) = self.step(x, h_prev, c_prev);
-        (h, c, ())
-    }
-
-    /// BPTT from a gradient on the *final* hidden state.
-    ///
-    /// Accumulates parameter gradients and returns the gradients with
-    /// respect to each input vector (same order as the forward inputs).
-    ///
-    /// # Panics
-    /// Panics when called before [`Lstm::forward_sequence`].
-    pub fn backward_last(&mut self, grad_h_last: &[f64]) -> Vec<Vec<f64>> {
-        assert!(
-            !self.cache.is_empty(),
-            "Lstm::backward_last called before forward_sequence"
-        );
-        let steps = self.cache.len();
-        let mut grads = vec![vec![0.0; self.hidden]; steps];
-        grads[steps - 1].copy_from_slice(grad_h_last);
-        self.backward_full(&grads)
-    }
-
-    /// BPTT with a gradient on *every* hidden state (stacked-LSTM case).
-    ///
-    /// `grad_hs[t]` is the gradient flowing into hidden state `h_t` from
-    /// above; returns gradients with respect to each input vector.
-    ///
-    /// # Panics
-    /// Panics when called before a forward pass or with a mismatched
-    /// number of step gradients.
-    pub fn backward_full(&mut self, grad_hs: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        assert!(
-            !self.cache.is_empty(),
-            "Lstm::backward_full called before forward_sequence"
-        );
-        let hsz = self.hidden;
-        let steps = self.cache.len();
-        assert_eq!(grad_hs.len(), steps, "one hidden gradient per step");
-        let mut grad_inputs = vec![vec![0.0; self.in_dim]; steps];
-        let mut dh = vec![0.0; hsz];
-        let mut dc_next = vec![0.0; hsz];
-
-        for t in (0..steps).rev() {
-            for (d, g) in dh.iter_mut().zip(grad_hs[t].iter()) {
-                *d += g;
-            }
-            // Move the cache entry out to avoid borrowing issues; restore after.
-            let cache = std::mem::take(&mut self.cache[t]);
-            let mut dz = vec![0.0; 4 * hsz]; // pre-activation grads [i|f|g|o]
-            let mut dc_prev = vec![0.0; hsz];
-            for k in 0..hsz {
-                let do_k = dh[k] * cache.tanh_c[k];
-                let dc =
-                    dc_next[k] + dh[k] * cache.o[k] * (1.0 - cache.tanh_c[k] * cache.tanh_c[k]);
-                let di = dc * cache.g[k];
-                let df = dc * cache.c_prev[k];
-                let dg = dc * cache.i[k];
-                dc_prev[k] = dc * cache.f[k];
-                dz[k] = di * cache.i[k] * (1.0 - cache.i[k]);
-                dz[hsz + k] = df * cache.f[k] * (1.0 - cache.f[k]);
-                dz[2 * hsz + k] = dg * (1.0 - cache.g[k] * cache.g[k]);
-                dz[3 * hsz + k] = do_k * cache.o[k] * (1.0 - cache.o[k]);
-            }
-            // Parameter gradients and input/hidden gradients.
-            let mut dh_prev = vec![0.0; hsz];
-            for row in 0..4 * hsz {
-                let d = dz[row];
-                // eadrl-lint: allow(no-float-eq): subgradient sparsity skip — exact zero contributes nothing to any parameter
-                if d == 0.0 {
-                    continue;
-                }
-                self.grad_b[row] += d;
-                let gw = &mut self.grad_w[row * self.in_dim..(row + 1) * self.in_dim];
-                for (gwi, &xi) in gw.iter_mut().zip(cache.x.iter()) {
-                    *gwi += d * xi;
-                }
-                let gu = &mut self.grad_u[row * hsz..(row + 1) * hsz];
-                for (gui, &hi) in gu.iter_mut().zip(cache.h_prev.iter()) {
-                    *gui += d * hi;
-                }
-                let wrow = &self.w[row * self.in_dim..(row + 1) * self.in_dim];
-                for (gi, &wv) in grad_inputs[t].iter_mut().zip(wrow.iter()) {
-                    *gi += d * wv;
-                }
-                let urow = &self.u[row * hsz..(row + 1) * hsz];
-                for (ghi, &uv) in dh_prev.iter_mut().zip(urow.iter()) {
-                    *ghi += d * uv;
-                }
-            }
-            self.cache[t] = cache;
-            dh = dh_prev;
-            dc_next = dc_prev;
-        }
-        grad_inputs
-    }
-
     /// Batched forward pass over the windows staged in `ws`: one
     /// `X_t: B x in_dim` stacked-gate GEMM per timestep instead of B
     /// matvec loops. Results (and the SoA step caches the backward pass
     /// reads) land in the workspace; bitwise-identical to running
-    /// [`Lstm::forward_sequence`] per sample.
+    /// [`crate::reference::lstm_forward`] per sample.
     pub fn forward_batch(&self, ws: &mut RecurrentWorkspace) {
         debug_assert_eq!(ws.in_dim, self.in_dim, "Lstm::forward_batch: input dim");
         debug_assert_eq!(ws.hidden, self.hidden, "Lstm::forward_batch: hidden dim");
@@ -635,7 +430,7 @@ impl Lstm {
     /// (`stride == 1`), and a flat time-major feature sequence
     /// (`stride == in_dim`) all avoid materializing `Vec<Vec<f64>>`
     /// inputs. Returns the final hidden state, bitwise-identical to
-    /// [`Lstm::forward_inference`] on the equivalent sequence.
+    /// [`crate::reference::lstm_forward`] on the equivalent sequence.
     pub fn forward_inference_cached<'a>(
         &self,
         data: &[f64],
@@ -693,8 +488,8 @@ impl Network for Lstm {
 /// (length `2 * hidden`).
 #[derive(Debug, Clone)]
 pub struct BiLstm {
-    forward: Lstm,
-    backward: Lstm,
+    pub(crate) forward: Lstm,
+    pub(crate) backward: Lstm,
 }
 
 impl BiLstm {
@@ -711,43 +506,11 @@ impl BiLstm {
         2 * self.forward.hidden_dim()
     }
 
-    /// Training forward pass; returns `[h_fwd ‖ h_bwd]`.
-    pub fn forward_sequence(&mut self, inputs: &[Vec<f64>]) -> Vec<f64> {
-        let mut out = self.forward.forward_sequence(inputs);
-        let reversed: Vec<Vec<f64>> = inputs.iter().rev().cloned().collect();
-        out.extend(self.backward.forward_sequence(&reversed));
-        out
-    }
-
-    /// Inference pass.
-    pub fn forward_inference(&self, inputs: &[Vec<f64>]) -> Vec<f64> {
-        let mut out = self.forward.forward_inference(inputs);
-        let reversed: Vec<Vec<f64>> = inputs.iter().rev().cloned().collect();
-        out.extend(self.backward.forward_inference(&reversed));
-        out
-    }
-
-    /// BPTT from a gradient on the concatenated output; returns per-input
-    /// gradients in forward order.
-    pub fn backward_last(&mut self, grad_out: &[f64]) -> Vec<Vec<f64>> {
-        let h = self.forward.hidden_dim();
-        debug_assert_eq!(grad_out.len(), 2 * h);
-        let mut grads = self.forward.backward_last(&grad_out[..h]);
-        let bwd_grads = self.backward.backward_last(&grad_out[h..]);
-        // bwd_grads are in reversed-input order; fold them back.
-        for (fwd_idx, g) in bwd_grads.into_iter().rev().enumerate() {
-            for (a, b) in grads[fwd_idx].iter_mut().zip(g.iter()) {
-                *a += b;
-            }
-        }
-        grads
-    }
-
     /// Batched forward pass: stages the reversed windows for the backward
     /// direction from the forward direction's inputs, runs both
     /// directions' stacked-gate passes, and concatenates the final hidden
     /// states into the workspace output (`B x 2H`, sample-major).
-    /// Bitwise-identical to per-sample [`BiLstm::forward_sequence`].
+    /// Bitwise-identical to per-sample [`crate::reference::bilstm_forward`].
     pub fn forward_batch(&self, ws: &mut BiRecurrentWorkspace) {
         let (b, t_steps, ind) = (ws.fwd.batch, ws.fwd.steps, ws.fwd.in_dim);
         let h = self.forward.hidden_dim();
@@ -803,7 +566,7 @@ impl BiLstm {
     /// Alloc-free single-window inference; see
     /// [`Lstm::forward_inference_cached`] for the strided-view contract.
     /// Returns `[h_fwd ‖ h_bwd]`, bitwise-identical to
-    /// [`BiLstm::forward_inference`] on the equivalent sequence.
+    /// [`crate::reference::bilstm_forward`] on the equivalent sequence.
     pub fn forward_inference_cached<'a>(
         &self,
         data: &[f64],
@@ -885,6 +648,9 @@ impl Network for BiLstm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::{
+        bilstm_backward_last, bilstm_forward, lstm_backward, lstm_backward_last, lstm_forward,
+    };
 
     fn seq(vals: &[f64]) -> Vec<Vec<f64>> {
         vals.iter().map(|&v| vec![v]).collect()
@@ -893,21 +659,25 @@ mod tests {
     #[test]
     fn forward_matches_inference() {
         let mut rng = DetRng::seed_from_u64(1);
-        let mut lstm = Lstm::new(&mut rng, 1, 4);
+        let lstm = Lstm::new(&mut rng, 1, 4);
         let inputs = seq(&[0.1, -0.2, 0.5]);
-        let a = lstm.forward_sequence(&inputs);
-        let b = lstm.forward_inference(&inputs);
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 4);
+        let a = lstm_forward(&lstm, &inputs);
+        let b = lstm_forward(&lstm, &inputs);
+        assert_eq!(a.last_hidden(), b.last_hidden());
+        assert_eq!(a.last_hidden().len(), 4);
     }
 
     #[test]
     fn output_depends_on_order() {
         let mut rng = DetRng::seed_from_u64(2);
         let lstm = Lstm::new(&mut rng, 1, 3);
-        let a = lstm.forward_inference(&seq(&[1.0, 0.0, -1.0]));
-        let b = lstm.forward_inference(&seq(&[-1.0, 0.0, 1.0]));
-        assert_ne!(a, b, "LSTM must be order-sensitive");
+        let a = lstm_forward(&lstm, &seq(&[1.0, 0.0, -1.0]));
+        let b = lstm_forward(&lstm, &seq(&[-1.0, 0.0, 1.0]));
+        assert_ne!(
+            a.last_hidden(),
+            b.last_hidden(),
+            "LSTM must be order-sensitive"
+        );
     }
 
     #[test]
@@ -916,15 +686,15 @@ mod tests {
         let mut lstm = Lstm::new(&mut rng, 2, 3);
         let inputs = vec![vec![0.3, -0.1], vec![0.7, 0.2], vec![-0.5, 0.4]];
         // Loss = sum of final hidden state.
-        lstm.forward_sequence(&inputs);
+        let trace = lstm_forward(&lstm, &inputs);
         let ones = vec![1.0; 3];
-        lstm.backward_last(&ones);
+        lstm_backward_last(&mut lstm, &trace, &ones);
 
         let flat = lstm.flat_params();
         let mut grads = Vec::new();
         lstm.visit_params(&mut |_p, g| grads.extend_from_slice(g));
         let h = 1e-6;
-        let loss = |l: &Lstm| -> f64 { l.forward_inference(&inputs).iter().sum() };
+        let loss = |l: &Lstm| -> f64 { lstm_forward(l, &inputs).last_hidden().iter().sum() };
         for &idx in &[0usize, 7, 20, flat.len() - 2, flat.len() - 1] {
             let mut up = flat.clone();
             up[idx] += h;
@@ -949,16 +719,16 @@ mod tests {
         let mut rng = DetRng::seed_from_u64(4);
         let mut lstm = Lstm::new(&mut rng, 1, 2);
         let inputs = seq(&[0.5, -0.3, 0.8, 0.1]);
-        lstm.forward_sequence(&inputs);
-        let gin = lstm.backward_last(&[1.0, 1.0]);
+        let trace = lstm_forward(&lstm, &inputs);
+        let gin = lstm_backward_last(&mut lstm, &trace, &[1.0, 1.0]);
         let h = 1e-6;
         for t in 0..inputs.len() {
             let mut up = inputs.clone();
             up[t][0] += h;
             let mut dn = inputs.clone();
             dn[t][0] -= h;
-            let lu: f64 = lstm.forward_inference(&up).iter().sum();
-            let ld: f64 = lstm.forward_inference(&dn).iter().sum();
+            let lu: f64 = lstm_forward(&lstm, &up).last_hidden().iter().sum();
+            let ld: f64 = lstm_forward(&lstm, &dn).last_hidden().iter().sum();
             let numeric = (lu - ld) / (2.0 * h);
             assert!(
                 (numeric - gin[t][0]).abs() < 1e-5,
@@ -969,18 +739,18 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "before forward_sequence")]
+    #[should_panic(expected = "before lstm_forward")]
     fn backward_before_forward_panics() {
         let mut rng = DetRng::seed_from_u64(5);
         let mut lstm = Lstm::new(&mut rng, 1, 2);
-        lstm.backward_last(&[1.0, 1.0]);
+        lstm_backward_last(&mut lstm, &Default::default(), &[1.0, 1.0]);
     }
 
     #[test]
     fn bilstm_concatenates_directions() {
         let mut rng = DetRng::seed_from_u64(6);
-        let mut bi = BiLstm::new(&mut rng, 1, 3);
-        let out = bi.forward_sequence(&seq(&[0.1, 0.2, 0.3]));
+        let bi = BiLstm::new(&mut rng, 1, 3);
+        let out = bilstm_forward(&bi, &seq(&[0.1, 0.2, 0.3])).output();
         assert_eq!(out.len(), 6);
         assert_eq!(bi.out_dim(), 6);
     }
@@ -990,16 +760,16 @@ mod tests {
         let mut rng = DetRng::seed_from_u64(7);
         let mut bi = BiLstm::new(&mut rng, 1, 2);
         let inputs = seq(&[0.4, -0.6, 0.2]);
-        bi.forward_sequence(&inputs);
-        let gin = bi.backward_last(&[1.0; 4]);
+        let trace = bilstm_forward(&bi, &inputs);
+        let gin = bilstm_backward_last(&mut bi, &trace, &[1.0; 4]);
         let h = 1e-6;
         for t in 0..inputs.len() {
             let mut up = inputs.clone();
             up[t][0] += h;
             let mut dn = inputs.clone();
             dn[t][0] -= h;
-            let lu: f64 = bi.forward_inference(&up).iter().sum();
-            let ld: f64 = bi.forward_inference(&dn).iter().sum();
+            let lu: f64 = bilstm_forward(&bi, &up).output().iter().sum();
+            let ld: f64 = bilstm_forward(&bi, &dn).output().iter().sum();
             let numeric = (lu - ld) / (2.0 * h);
             assert!(
                 (numeric - gin[t][0]).abs() < 1e-5,
@@ -1012,12 +782,15 @@ mod tests {
     #[test]
     fn full_sequence_matches_stepwise_last() {
         let mut rng = DetRng::seed_from_u64(10);
-        let mut lstm = Lstm::new(&mut rng, 1, 3);
+        let lstm = Lstm::new(&mut rng, 1, 3);
         let inputs = seq(&[0.2, -0.4, 0.9]);
-        let all = lstm.forward_sequence_full(&inputs);
+        let trace = lstm_forward(&lstm, &inputs);
+        let all = trace.hidden();
         assert_eq!(all.len(), 3);
-        assert_eq!(all[2], lstm.forward_inference(&inputs));
-        assert_eq!(all, lstm.forward_inference_full(&inputs));
+        assert_eq!(all[2], trace.last_hidden());
+        for (t, h) in all.iter().enumerate() {
+            assert_eq!(h, lstm_forward(&lstm, &inputs[..=t]).last_hidden());
+        }
     }
 
     #[test]
@@ -1026,11 +799,12 @@ mod tests {
         let mut lstm = Lstm::new(&mut rng, 1, 2);
         let inputs = seq(&[0.3, -0.5, 0.7]);
         // Loss = sum over ALL hidden states of all components.
-        lstm.forward_sequence_full(&inputs);
+        let trace = lstm_forward(&lstm, &inputs);
         let grads = vec![vec![1.0; 2]; 3];
-        let gin = lstm.backward_full(&grads);
+        let gin = lstm_backward(&mut lstm, &trace, &grads);
         let loss = |l: &Lstm, inp: &[Vec<f64>]| -> f64 {
-            l.forward_inference_full(inp)
+            lstm_forward(l, inp)
+                .hidden()
                 .iter()
                 .flat_map(|h| h.iter())
                 .sum()
@@ -1078,7 +852,7 @@ mod tests {
     #[test]
     fn forward_batch_is_bitwise_equal_to_per_sequence() {
         let mut rng = DetRng::seed_from_u64(20);
-        let mut lstm = Lstm::new(&mut rng, 2, 5);
+        let lstm = Lstm::new(&mut rng, 2, 5);
         let wins = windows(3, 4, 2, 99);
         let mut ws = RecurrentWorkspace::new();
         ws.stage(wins.len(), 4, 2, 5);
@@ -1089,8 +863,15 @@ mod tests {
         }
         lstm.forward_batch(&mut ws);
         for (s, win) in wins.iter().enumerate() {
-            let h = lstm.forward_sequence(win);
-            assert_eq!(&ws.h_last()[s * 5..(s + 1) * 5], &h[..], "sample {s}");
+            let trace = lstm_forward(&lstm, win);
+            assert_eq!(
+                &ws.h_last()[s * 5..(s + 1) * 5],
+                trace.last_hidden(),
+                "sample {s}"
+            );
+            for (t, h) in trace.hidden().iter().enumerate() {
+                assert_eq!(&ws.h(t)[s * 5..(s + 1) * 5], &h[..], "sample {s} step {t}");
+            }
         }
     }
 
@@ -1121,8 +902,8 @@ mod tests {
 
         let mut ref_input_grads = Vec::new();
         for (s, win) in wins.iter().enumerate() {
-            reference.forward_sequence(win);
-            ref_input_grads.push(reference.backward_last(&grad[s]));
+            let trace = lstm_forward(&reference, win);
+            ref_input_grads.push(lstm_backward_last(&mut reference, &trace, &grad[s]));
         }
         assert_eq!(batched.grad_w, reference.grad_w);
         assert_eq!(batched.grad_u, reference.grad_u);
@@ -1146,13 +927,10 @@ mod tests {
         let inputs = seq(&data);
         let mut cache = LstmInferenceCache::default();
         let h = lstm.forward_inference_cached(&data, 1, &mut cache);
-        assert_eq!(h, &lstm.forward_inference(&inputs)[..]);
+        let trace = lstm_forward(&lstm, &inputs);
+        assert_eq!(h, trace.last_hidden());
         let hs = lstm.forward_inference_cached_full(&data, 1, &mut cache);
-        let expect: Vec<f64> = lstm
-            .forward_inference_full(&inputs)
-            .into_iter()
-            .flatten()
-            .collect();
+        let expect: Vec<f64> = trace.hidden().concat();
         assert_eq!(hs, &expect[..]);
     }
 
@@ -1165,7 +943,7 @@ mod tests {
         let inputs: Vec<Vec<f64>> = (0..5).map(|t| data[t..t + 3].to_vec()).collect();
         let mut cache = LstmInferenceCache::default();
         let h = lstm.forward_inference_cached(&data, 1, &mut cache);
-        assert_eq!(h, &lstm.forward_inference(&inputs)[..]);
+        assert_eq!(h, lstm_forward(&lstm, &inputs).last_hidden());
     }
 
     #[test]
@@ -1186,9 +964,13 @@ mod tests {
         batched.backward_batch_last(&grad, &mut ws, false);
 
         for (s, win) in wins.iter().enumerate() {
-            let out = reference.forward_sequence(win);
-            assert_eq!(&ws.output()[s * 6..(s + 1) * 6], &out[..], "sample {s}");
-            reference.backward_last(&grad[s * 6..(s + 1) * 6]);
+            let trace = bilstm_forward(&reference, win);
+            assert_eq!(
+                &ws.output()[s * 6..(s + 1) * 6],
+                &trace.output()[..],
+                "sample {s}"
+            );
+            bilstm_backward_last(&mut reference, &trace, &grad[s * 6..(s + 1) * 6]);
         }
         let flat = |n: &mut dyn Network| {
             let mut g = Vec::new();
@@ -1200,7 +982,7 @@ mod tests {
         let mut cache = BiLstmInferenceCache::default();
         let data: Vec<f64> = wins[1].iter().map(|x| x[0]).collect();
         let h = batched.forward_inference_cached(&data, 1, &mut cache);
-        assert_eq!(h, &batched.forward_inference(&wins[1])[..]);
+        assert_eq!(h, &bilstm_forward(&batched, &wins[1]).output()[..]);
     }
 
     #[test]

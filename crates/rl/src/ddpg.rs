@@ -10,28 +10,6 @@ use eadrl_obs::{Counter, Gauge, Histogram, Level};
 use eadrl_rng::DetRng;
 use std::sync::Arc;
 
-/// Which compute path [`DdpgAgent::update`] takes through the networks.
-///
-/// Both paths are **bitwise-identical** in every observable way —
-/// post-update parameters, [`UpdateStats`], telemetry at levels up to
-/// `debug`, and the RNG stream — as proven by the differential tests in
-/// `crates/rl/tests/batched_equivalence.rs` and
-/// `crates/core/tests/batched_determinism.rs`. (At `trace` level the
-/// batched path additionally emits per-phase profiling spans inside
-/// `ddpg.update` — `critic.forward`, `actor.backward`, … — which the
-/// per-sample reference deliberately lacks.) `Batched` assembles the
-/// minibatch into matrices once and runs one GEMM-backed forward/backward
-/// per network per update; `PerSample` is the original transition-at-a-time
-/// loop, kept as the differential reference (and for profiling the gap).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum UpdatePath {
-    /// Minibatch-as-matrix updates through `forward_batch`/`backward_batch`.
-    #[default]
-    Batched,
-    /// Original per-transition loop (reference implementation).
-    PerSample,
-}
-
 /// Hyper-parameters of the DDPG agent.
 ///
 /// Defaults follow the paper's EA-DRL setup where stated (γ = 0.9,
@@ -66,9 +44,6 @@ pub struct DdpgConfig {
     pub actor_logit_reg: f64,
     /// RNG seed (initialization, noise, replay sampling).
     pub seed: u64,
-    /// Compute path for gradient updates (bitwise-equivalent options; see
-    /// [`UpdatePath`]).
-    pub update_path: UpdatePath,
 }
 
 impl Default for DdpgConfig {
@@ -86,7 +61,6 @@ impl Default for DdpgConfig {
             noise_sigma: 0.2,
             actor_logit_reg: 1e-3,
             seed: 0,
-            update_path: UpdatePath::Batched,
         }
     }
 }
@@ -216,17 +190,17 @@ struct UpdateBuffers {
 /// The DDPG agent: actor + critic networks, their targets, a replay buffer
 /// and an exploration-noise process.
 pub struct DdpgAgent {
-    config: DdpgConfig,
-    actor: Mlp,
-    critic: Mlp,
-    target_actor: Mlp,
-    target_critic: Mlp,
-    actor_opt: Adam,
-    critic_opt: Adam,
-    buffer: ReplayBuffer,
+    pub(crate) config: DdpgConfig,
+    pub(crate) actor: Mlp,
+    pub(crate) critic: Mlp,
+    pub(crate) target_actor: Mlp,
+    pub(crate) target_critic: Mlp,
+    pub(crate) actor_opt: Adam,
+    pub(crate) critic_opt: Adam,
+    pub(crate) buffer: ReplayBuffer,
     noise: OrnsteinUhlenbeck,
-    rng: DetRng,
-    state_dim: usize,
+    pub(crate) rng: DetRng,
+    pub(crate) state_dim: usize,
     action_dim: usize,
     updates: u64,
     telemetry: DdpgTelemetry,
@@ -341,30 +315,32 @@ impl DdpgAgent {
     /// No-op (returning `None`) until the buffer holds at least one
     /// batch.
     ///
-    /// The two [`UpdatePath`]s are interchangeable bit for bit: both
-    /// consume exactly one replay-sampling draw from the RNG stream and
-    /// produce identical post-update parameters and diagnostics.
+    /// Bit for bit interchangeable with the transition-at-a-time
+    /// [`crate::reference::update_per_sample`]: both consume exactly one
+    /// replay-sampling draw from the RNG stream and produce identical
+    /// post-update parameters and diagnostics.
     pub fn update(&mut self) -> Option<UpdateStats> {
-        let n = self.config.batch_size;
-        if self.buffer.len() < n {
+        if self.buffer.len() < self.config.batch_size {
             return None;
         }
         let _span = eadrl_obs::span_at(Level::Trace, "ddpg.update");
-        let stats = match self.config.update_path {
-            UpdatePath::Batched => self.update_batched(),
-            UpdatePath::PerSample => self.update_per_sample(),
-        };
+        let stats = self.update_batched();
+        self.count_update(&stats);
+        Some(stats)
+    }
+
+    /// Update counter and telemetry shared with the per-sample reference.
+    pub(crate) fn count_update(&mut self, stats: &UpdateStats) {
         self.updates += 1;
         self.telemetry.updates.inc();
         self.telemetry.critic_loss.record(stats.critic_loss);
-        Some(stats)
     }
 
     /// Minibatch-as-matrix update: the sampled transitions are staged into
     /// the persistent [`UpdateBuffers`] matrices once, and every network
     /// runs one batched forward/backward per update. Gradients accumulate
     /// through the GEMM kernels in sample order, so the result is
-    /// bitwise-identical to [`Self::update_per_sample`].
+    /// bitwise-identical to [`crate::reference::update_per_sample`].
     fn update_batched(&mut self) -> UpdateStats {
         let n = self.config.batch_size;
         let sd = self.state_dim;
@@ -479,8 +455,8 @@ impl DdpgAgent {
                 self.bufs.grad_q[(s, 0)] = -1.0 / n as f64;
             }
             // The critic is differentiated only to reach the action inputs —
-            // its own weight gradients are scratch in both update paths, so
-            // the input-only backward skips computing them altogether.
+            // its own weight gradients would be scratch, so the input-only
+            // backward skips computing them altogether.
             self.critic.backward_batch_input_only(&self.bufs.grad_q);
         }
         {
@@ -526,89 +502,11 @@ impl DdpgAgent {
         }
     }
 
-    /// Original transition-at-a-time update loop — the differential
-    /// reference for [`Self::update_batched`].
-    fn update_per_sample(&mut self) -> UpdateStats {
-        let n = self.config.batch_size;
-        let batch: Vec<Transition> = self
-            .buffer
-            .sample(n, self.config.sampling, &mut self.rng)
-            .into_iter()
-            .cloned()
-            .collect();
-
-        // ---- Critic update: minimize (Q(s,a) - y)² with Bellman targets.
-        let mut targets = Vec::with_capacity(n);
-        for t in &batch {
-            let raw_next = self.target_actor.forward_inference(&t.next_state);
-            let a_next = self.config.squash.forward(&raw_next);
-            let q_next = self
-                .target_critic
-                .forward_inference(&concat(&t.next_state, &a_next))[0];
-            let y = t.reward
-                + if t.done {
-                    0.0
-                } else {
-                    self.config.gamma * q_next
-                };
-            targets.push(y);
-        }
-        self.critic.zero_grad();
-        let mut critic_loss = 0.0;
-        for (t, &y) in batch.iter().zip(targets.iter()) {
-            let q = self.critic.forward(&concat(&t.state, &t.action))[0];
-            let err = q - y;
-            critic_loss += err * err / n as f64;
-            let g = 2.0 * err / n as f64;
-            self.critic.backward(&[g]);
-        }
-        // Gradient norms are only interesting to traces; skip the extra
-        // parameter sweep unless debug telemetry is on.
-        let critic_grad_norm = eadrl_obs::enabled(Level::Debug).then(|| self.critic.grad_norm());
-        self.critic.clip_grad_norm(5.0);
-        self.critic_opt.step(&mut self.critic);
-
-        // ---- Actor update: ascend ∇_θ Q(s, π_θ(s)).
-        self.actor.zero_grad();
-        self.critic.zero_grad(); // scratch space for input gradients
-        let mut actor_objective = 0.0;
-        for t in &batch {
-            let raw = self.actor.forward(&t.state);
-            let action = self.config.squash.forward(&raw);
-            let q = self.critic.forward(&concat(&t.state, &action));
-            actor_objective += q[0] / n as f64;
-            // dQ/d(input) with loss = -Q / n (gradient ascent on Q).
-            let grad_in = self.critic.backward(&[-1.0 / n as f64]);
-            let grad_action = &grad_in[self.state_dim..];
-            let mut grad_raw = self.config.squash.backward(&raw, &action, grad_action);
-            // Logit weight decay: keeps the actor out of squash saturation.
-            let reg = self.config.actor_logit_reg;
-            if reg > 0.0 {
-                for (g, &r) in grad_raw.iter_mut().zip(raw.iter()) {
-                    *g += reg * r / n as f64;
-                }
-            }
-            self.actor.backward(&grad_raw);
-        }
-        let actor_grad_norm = eadrl_obs::enabled(Level::Debug).then(|| self.actor.grad_norm());
-        self.actor.clip_grad_norm(5.0);
-        self.actor_opt.step(&mut self.actor);
-        self.critic.zero_grad(); // discard scratch gradients
-
-        self.polyak_target_updates();
-        UpdateStats {
-            critic_loss,
-            actor_objective,
-            critic_grad_norm,
-            actor_grad_norm,
-        }
-    }
-
-    /// Polyak soft target updates, shared by both update paths. Parameter
-    /// snapshots go through persistent scratch buffers
+    /// Polyak soft target updates, shared with the per-sample reference.
+    /// Parameter snapshots go through persistent scratch buffers
     /// ([`Network::flat_params_into`]) so the per-update sync is
     /// allocation-free at steady state.
-    fn polyak_target_updates(&mut self) {
+    pub(crate) fn polyak_target_updates(&mut self) {
         let tau = self.config.tau;
         self.actor.flat_params_into(&mut self.bufs.actor_params);
         self.target_actor
@@ -777,7 +675,7 @@ impl DdpgAgent {
     }
 }
 
-fn concat(a: &[f64], b: &[f64]) -> Vec<f64> {
+pub(crate) fn concat(a: &[f64], b: &[f64]) -> Vec<f64> {
     let mut v = Vec::with_capacity(a.len() + b.len());
     v.extend_from_slice(a);
     v.extend_from_slice(b);
@@ -803,7 +701,6 @@ mod tests {
             noise_sigma: 0.3,
             actor_logit_reg: 0.0,
             seed: 7,
-            update_path: UpdatePath::Batched,
         }
     }
 

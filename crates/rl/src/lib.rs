@@ -14,15 +14,19 @@
 //! * [`DdpgAgent`] — actor/critic MLPs with target networks, Polyak soft
 //!   updates and the deterministic-policy-gradient actor update, plus the
 //!   [`ActionSquash`] output map (the paper squashes policy outputs onto
-//!   the probability simplex so the weights are positive and sum to one).
+//!   the probability simplex so the weights are positive and sum to one),
+//! * [`reference`](mod@reference) — the transition-at-a-time DDPG
+//!   update, kept as the differential oracle for the agent's batched
+//!   update.
 
 pub mod ddpg;
 pub mod env;
 pub mod noise;
+pub mod reference;
 pub mod replay;
 pub mod squash;
 
-pub use ddpg::{DdpgAgent, DdpgConfig, EpisodeStats, UpdatePath, UpdateStats};
+pub use ddpg::{DdpgAgent, DdpgConfig, EpisodeStats, UpdateStats};
 pub use env::Environment;
 pub use noise::{GaussianNoise, Noise, OrnsteinUhlenbeck};
 pub use replay::{ReplayBuffer, SamplingStrategy, Transition};

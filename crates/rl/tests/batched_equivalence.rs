@@ -1,23 +1,24 @@
-//! Differential test for the two DDPG update paths.
+//! Differential test for the DDPG update against its per-sample reference.
 //!
-//! [`UpdatePath::Batched`] re-expresses the per-sample critic/actor updates
-//! as one batched forward/backward per network. The repo's determinism
-//! contract requires the rewrite to be *bitwise* equivalent, not just
-//! numerically close: after any number of updates on identical replay
-//! contents, both paths must hold identical parameters (actor, critic, and
-//! both Polyak targets) and report identical [`UpdateStats`].
+//! [`DdpgAgent::update`] re-expresses the per-sample critic/actor updates
+//! of [`reference::update_per_sample`] as one batched forward/backward per
+//! network. The repo's determinism contract requires the rewrite to be
+//! *bitwise* equivalent, not just numerically close: after any number of
+//! updates on identical replay contents, both must hold identical
+//! parameters (actor, critic, and both Polyak targets) and report
+//! identical [`eadrl_rl::UpdateStats`].
 //!
 //! The batch size is deliberately not a power of two so that the
 //! `x / n as f64` mean-reduction terms cannot silently be replaced by a
 //! reciprocal multiply (which rounds differently).
 
-use eadrl_rl::{ActionSquash, DdpgAgent, DdpgConfig, SamplingStrategy, Transition, UpdatePath};
+use eadrl_rl::{reference, ActionSquash, DdpgAgent, DdpgConfig, SamplingStrategy, Transition};
 use eadrl_rng::DetRng;
 
 const STATE_DIM: usize = 3;
 const ACTION_DIM: usize = 4;
 
-fn agent(path: UpdatePath, sampling: SamplingStrategy) -> DdpgAgent {
+fn agent(sampling: SamplingStrategy) -> DdpgAgent {
     DdpgAgent::new(
         STATE_DIM,
         ACTION_DIM,
@@ -38,7 +39,6 @@ fn agent(path: UpdatePath, sampling: SamplingStrategy) -> DdpgAgent {
             // the comparison.
             actor_logit_reg: 1e-3,
             seed: 11,
-            update_path: path,
         },
     )
 }
@@ -77,14 +77,14 @@ fn bits(v: &[f64]) -> Vec<u64> {
 }
 
 fn assert_paths_agree(sampling: SamplingStrategy) {
-    let mut batched = agent(UpdatePath::Batched, sampling);
-    let mut per_sample = agent(UpdatePath::PerSample, sampling);
+    let mut batched = agent(sampling);
+    let mut per_sample = agent(sampling);
     fill_buffer(&mut batched, 120);
     fill_buffer(&mut per_sample, 120);
 
     for step in 0..8 {
         let sb = batched.update().expect("buffer is filled");
-        let sp = per_sample.update().expect("buffer is filled");
+        let sp = reference::update_per_sample(&mut per_sample).expect("buffer is filled");
         assert_eq!(
             sb.critic_loss.to_bits(),
             sp.critic_loss.to_bits(),

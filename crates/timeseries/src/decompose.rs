@@ -157,9 +157,9 @@ mod tests {
     fn components_add_back_to_the_series() {
         let s = synthetic(120, 12, 5.0, 0.1);
         let d = decompose_additive(&s, 12).unwrap();
-        for t in 0..s.len() {
+        for (t, &v) in s.iter().enumerate() {
             let rebuilt = d.trend[t] + d.seasonal[t] + d.remainder[t];
-            assert!((rebuilt - s[t]).abs() < 1e-9, "t = {t}");
+            assert!((rebuilt - v).abs() < 1e-9, "t = {t}");
         }
     }
 
