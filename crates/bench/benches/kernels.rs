@@ -1,7 +1,11 @@
 //! Benchmarks for the batched GEMM training path: the cache-blocked
-//! linalg kernels, the batched dense forward, and the minibatch-as-matrix
+//! linalg kernels, the batched dense forward, the minibatch-as-matrix
 //! DDPG update against the per-sample reference
-//! (`eadrl_rl::reference::update_per_sample`).
+//! (`eadrl_rl::reference::update_per_sample`), and that update at the
+//! production EA-DRL shape (`ddpg_update_production`), which is the unit
+//! of work behind the end-to-end ledger's warm-up and refresh rows. The
+//! report records `isa`, the instruction set the GEMM kernels dispatched
+//! to (`kernels::isa()`), next to the timings.
 //!
 //! Flags (combinable):
 //! - `--quick`   shrink the measurement budget for CI smoke runs;
@@ -23,7 +27,9 @@
 
 use eadrl_bench::harness::{Harness, Summary};
 use eadrl_bench::{json_output, print_json_report};
+use eadrl_core::EaDrlConfig;
 use eadrl_linalg::{kernels, Matrix};
+use eadrl_models::STANDARD_POOL_SIZE;
 use eadrl_nn::{Activation, Dense, Mlp, Network};
 use eadrl_obs::json::JsonValue;
 use eadrl_rl::{
@@ -32,9 +38,11 @@ use eadrl_rl::{
 use eadrl_rng::DetRng;
 use std::hint::black_box;
 
-/// Pipeline-representative dimensions: ω = 10 recent ensemble outputs as
-/// the state, a 10-model pool's weights as the action, and the default
-/// 32×32 hidden stack.
+/// Dimensions of the batched-vs-per-sample gate groups: ω = 10 recent
+/// ensemble outputs as the state and a 10-wide `BoundedSoftmax` action on
+/// the 32×32 hidden stack. The action is narrower than the production
+/// pool's so the per-sample reference stays quick; the production shape
+/// is [`bench_ddpg_production`]'s.
 const STATE_DIM: usize = 10;
 const ACTION_DIM: usize = 10;
 
@@ -155,20 +163,23 @@ fn bench_mlp_train_step(c: &mut Harness) {
     group.finish();
 }
 
-fn agent_with(batch_size: usize) -> DdpgAgent {
-    let mut agent = DdpgAgent::new(
-        STATE_DIM,
-        ACTION_DIM,
-        DdpgConfig {
-            sampling: SamplingStrategy::Uniform,
-            batch_size,
-            hidden: vec![32, 32],
-            squash: ActionSquash::BoundedSoftmax { scale: 6.0 },
-            seed: 42,
-            ..Default::default()
-        },
-    );
-    // 256 synthetic transitions: enough for any benched batch size.
+/// The gate groups' agent configuration at one batch size.
+fn gate_config(batch_size: usize) -> DdpgConfig {
+    DdpgConfig {
+        sampling: SamplingStrategy::Uniform,
+        batch_size,
+        hidden: vec![32, 32],
+        squash: ActionSquash::BoundedSoftmax { scale: 6.0 },
+        seed: 42,
+        ..Default::default()
+    }
+}
+
+/// A freshly seeded agent with an ω-wide state and an `action_dim`-wide
+/// action, its replay buffer holding 256 synthetic transitions (enough
+/// for any benched batch size).
+fn agent_with(action_dim: usize, config: DdpgConfig) -> DdpgAgent {
+    let mut agent = DdpgAgent::new(STATE_DIM, action_dim, config);
     let mut rng = DetRng::seed_from_u64(99);
     for i in 0..256 {
         let state: Vec<f64> = (0..STATE_DIM)
@@ -177,7 +188,7 @@ fn agent_with(batch_size: usize) -> DdpgAgent {
         let next_state: Vec<f64> = (0..STATE_DIM)
             .map(|_| rng.random_range(-1.0..1.0))
             .collect();
-        let mut action: Vec<f64> = (0..ACTION_DIM)
+        let mut action: Vec<f64> = (0..action_dim)
             .map(|_| rng.random_range(0.0..1.0))
             .collect();
         let sum: f64 = action.iter().sum();
@@ -219,7 +230,7 @@ fn bench_ddpg_update(c: &mut Harness, batch_sizes: &[usize]) -> Vec<(usize, Summ
                 // free-running agent would drift to a path-dependent
                 // weight state mid-measurement and confound the ratio.
                 b.iter_batched(
-                    || agent_with(batch_size),
+                    || agent_with(ACTION_DIM, gate_config(batch_size)),
                     |mut agent| {
                         for _ in 0..UPDATES_PER_RUN {
                             update(&mut agent);
@@ -244,6 +255,33 @@ fn bench_ddpg_update(c: &mut Harness, batch_sizes: &[usize]) -> Vec<(usize, Summ
         results.push((batch_size, get("per_sample"), get("batched")));
     }
     results
+}
+
+/// The batched update at the production EA-DRL shape: the default
+/// `EaDrlConfig`'s DDPG settings (Softmax, diversity sampling, batch 32,
+/// 32×32 hidden), an ω = 10 state and one action weight per member of
+/// the standard 43-model pool. Returns the per-update median in ns.
+fn bench_ddpg_production(c: &mut Harness) -> f64 {
+    let config = DdpgConfig {
+        seed: 42,
+        ..EaDrlConfig::default().ddpg
+    };
+    let mut group = c.benchmark_group("ddpg_update_production");
+    group.bench_function("batched", |b| {
+        b.iter_batched(
+            || agent_with(STANDARD_POOL_SIZE, config.clone()),
+            |mut agent| {
+                for _ in 0..UPDATES_PER_RUN {
+                    agent.update();
+                }
+                black_box(agent.updates())
+            },
+        );
+    });
+    group
+        .finish()
+        .first()
+        .map_or(f64::NAN, |(_, s)| s.median_ns / UPDATES_PER_RUN as f64)
 }
 
 /// `--out <path>` value, when present. Relative paths are resolved
@@ -286,6 +324,7 @@ fn main() {
     let dense = bench_dense_forward(&mut h);
     bench_mlp_train_step(&mut h);
     let ddpg = bench_ddpg_update(&mut h, &[32, 64]);
+    let production = bench_ddpg_production(&mut h);
 
     let dense_get = |id: &str| -> f64 {
         dense
@@ -294,6 +333,7 @@ fn main() {
             .map_or(f64::NAN, |(_, s)| s.median_ns)
     };
     let mut fields: Vec<(String, JsonValue)> = vec![
+        ("isa".to_string(), kernels::isa().into()),
         ("state_dim".to_string(), STATE_DIM.into()),
         ("action_dim".to_string(), ACTION_DIM.into()),
         (
@@ -305,6 +345,14 @@ fn main() {
             dense_get("forward_batch").into(),
         ),
     ];
+    fields.push((
+        "production_action_dim".to_string(),
+        STANDARD_POOL_SIZE.into(),
+    ));
+    fields.push((
+        "ddpg_update_production_batched_median_ns".to_string(),
+        production.into(),
+    ));
     let mut gate_failures = Vec::new();
     for (batch_size, per, bat) in &ddpg {
         let speedup = per.median_ns / bat.median_ns;

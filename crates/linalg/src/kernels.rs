@@ -20,6 +20,22 @@
 //! non-zero terms yields `+0.0`, and `+0.0 + ±0.0 == +0.0`), so adding the
 //! skipped `±0.0` product would not change a single bit.
 //!
+//! # Instruction-set dispatch
+//!
+//! [`gemm_acc`] (and so [`gemm`]) and [`gemm_tn_acc`], the kernels of
+//! every DDPG update, each have one `#[inline(always)]` body that is
+//! compiled twice: a portable instantiation for the build target, and an
+//! x86-64 instantiation with `#[target_feature(enable = "avx2")]`. The
+//! public function calls the AVX2 one when the CPU reports AVX2 at run
+//! time and the portable one otherwise; non-x86-64 targets and Miri
+//! always take the portable one. [`isa`] names the choice. Only `avx2`
+//! is enabled, never `fma`, and rustc neither contracts a multiply-add
+//! nor reassociates a sum, so the wider build may only spread the
+//! independent output lanes across 4-wide registers: every element keeps
+//! its ascending-k add chain and its 4-group zero-skip, and both
+//! instantiations return the same bits (NaN payloads aside, which Rust
+//! leaves unspecified).
+//!
 //! # Allocation contract
 //!
 //! No kernel allocates. Callers bring their own output buffers, typically
@@ -33,6 +49,28 @@ pub const MC: usize = 64;
 
 /// Depth (k dimension) processed per block of the tiled GEMM.
 pub const KC: usize = 64;
+
+/// The instruction set the GEMM kernels run on in this process:
+/// `"avx2"` when the CPU reports AVX2, `"portable"` otherwise. Bench
+/// reports record it next to their timings.
+pub fn isa() -> &'static str {
+    if avx2() {
+        "avx2"
+    } else {
+        "portable"
+    }
+}
+
+/// Whether the AVX2 kernel instantiations exist in this build and the CPU
+/// supports them. The detection result is cached by std after the first
+/// call, so this is a load and a bit test on every kernel call.
+#[inline(always)]
+fn avx2() -> bool {
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    return is_x86_feature_detected!("avx2");
+    #[cfg(not(all(target_arch = "x86_64", not(miri))))]
+    return false;
+}
 
 /// A pool of reusable `f64` buffers for hot-loop scratch space.
 ///
@@ -106,6 +144,32 @@ pub fn gemm_acc(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], c: &mut [f64
     debug_assert_eq!(a.len(), m * k, "gemm_acc: lhs shape");
     debug_assert_eq!(b.len(), k * n, "gemm_acc: rhs shape");
     debug_assert_eq!(c.len(), m * n, "gemm_acc: out shape");
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    if avx2() {
+        // SAFETY: `gemm_acc_avx2` requires only AVX2, which `avx2()` has
+        // just detected on this CPU.
+        unsafe { gemm_acc_avx2(m, k, n, a, b, c) };
+        return;
+    }
+    gemm_acc_portable(m, k, n, a, b, c);
+}
+
+/// [`gemm_acc_body`] compiled for baseline x86-64 (or the build target).
+fn gemm_acc_portable(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], c: &mut [f64]) {
+    gemm_acc_body(m, k, n, a, b, c);
+}
+
+/// [`gemm_acc_body`] compiled with 256-bit AVX2 lanes; only a CPU with AVX2
+/// may run it.
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+#[target_feature(enable = "avx2")]
+fn gemm_acc_avx2(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], c: &mut [f64]) {
+    gemm_acc_body(m, k, n, a, b, c);
+}
+
+/// The one body of [`gemm_acc`], inlined into each instantiation.
+#[inline(always)]
+fn gemm_acc_body(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], c: &mut [f64]) {
     if n == 1 {
         gemm_acc_n1(m, k, a, b, c);
         return;
@@ -177,7 +241,9 @@ pub fn gemm_acc(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], c: &mut [f64
 /// `a[i][kk] * b[kk]` in ascending `kk` order from its prior value, so
 /// results are bitwise identical to the generic path (no zero-skip is
 /// needed for parity: adding a skipped `±0.0` product never changes a
-/// partial sum — see the module determinism contract).
+/// partial sum — see the module determinism contract). Inlined into both
+/// [`gemm_acc`] instantiations through [`gemm_acc_body`].
+#[inline(always)]
 fn gemm_acc_n1(m: usize, k: usize, a: &[f64], b: &[f64], c: &mut [f64]) {
     let mut i = 0;
     while i + 4 <= m {
@@ -224,6 +290,32 @@ pub fn gemm_tn_acc(k: usize, m: usize, n: usize, a: &[f64], b: &[f64], c: &mut [
     debug_assert_eq!(a.len(), k * m, "gemm_tn_acc: lhs shape");
     debug_assert_eq!(b.len(), k * n, "gemm_tn_acc: rhs shape");
     debug_assert_eq!(c.len(), m * n, "gemm_tn_acc: out shape");
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    if avx2() {
+        // SAFETY: `gemm_tn_acc_avx2` requires only AVX2, which `avx2()`
+        // has just detected on this CPU.
+        unsafe { gemm_tn_acc_avx2(k, m, n, a, b, c) };
+        return;
+    }
+    gemm_tn_acc_portable(k, m, n, a, b, c);
+}
+
+/// [`gemm_tn_acc_body`] compiled for baseline x86-64 (or the build target).
+fn gemm_tn_acc_portable(k: usize, m: usize, n: usize, a: &[f64], b: &[f64], c: &mut [f64]) {
+    gemm_tn_acc_body(k, m, n, a, b, c);
+}
+
+/// [`gemm_tn_acc_body`] compiled with 256-bit AVX2 lanes; only a CPU with AVX2
+/// may run it.
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+#[target_feature(enable = "avx2")]
+fn gemm_tn_acc_avx2(k: usize, m: usize, n: usize, a: &[f64], b: &[f64], c: &mut [f64]) {
+    gemm_tn_acc_body(k, m, n, a, b, c);
+}
+
+/// The one body of [`gemm_tn_acc`], inlined into each instantiation.
+#[inline(always)]
+fn gemm_tn_acc_body(k: usize, m: usize, n: usize, a: &[f64], b: &[f64], c: &mut [f64]) {
     let mut s = 0;
     // Register-blocked body: four samples share one load/store of each
     // output row. Every element still receives its per-sample additions
@@ -751,6 +843,206 @@ mod tests {
                 assert_eq!(dz[s * g4 + 3 * hidden + kk], do_k * ov * (1.0 - ov));
             }
         }
+    }
+
+    /// Signature shared by every dispatched GEMM kernel.
+    type GemmFn = fn(usize, usize, usize, &[f64], &[f64], &mut [f64]);
+
+    /// One way of reaching the five GEMM entry points. The `gates_gemm`
+    /// pair has a single portable instantiation, so every set reaches it
+    /// through its public functions.
+    struct GemmSet {
+        gemm: GemmFn,
+        gemm_acc: GemmFn,
+        gemm_tn_acc: GemmFn,
+        gates_gemm: GemmFn,
+        gates_gemm_acc: GemmFn,
+    }
+
+    /// Deterministic operand entry at (`outer`, contraction index `kk`).
+    ///
+    /// `zero_group` marks whole 4-groups along the contraction index as
+    /// exact zeros (some of them `-0.0`), which is the unit the register-
+    /// blocked kernels skip. Elsewhere entries are pseudo-random with a few
+    /// isolated `±0.0`.
+    fn entry(seed: u64, outer: usize, kk: usize, zero_group: bool) -> f64 {
+        let mut h = seed ^ ((outer as u64) << 32) ^ kk as u64;
+        h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        h ^= h >> 31;
+        match (zero_group, h % 11) {
+            (true, r) => {
+                if r % 2 == 0 {
+                    0.0
+                } else {
+                    -0.0
+                }
+            }
+            (false, 0) => -0.0,
+            (false, 1) => 0.0,
+            _ => (h >> 11) as f64 / (1u64 << 53) as f64 * 4.0 - 2.0,
+        }
+    }
+
+    /// `b`-side entry: in the `special` set, contraction indices whose
+    /// `a` groups are all zero carry `±inf`/`NaN`, so the output shows
+    /// whether a kernel skips those groups or multiplies through them.
+    fn rhs_entry(seed: u64, col: usize, kk: usize, special: bool) -> f64 {
+        if special && (kk / 4).is_multiple_of(3) {
+            return [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, 2.5][(kk + col) % 4];
+        }
+        entry(seed, col, kk, false)
+    }
+
+    fn lhs_zero_group(outer: usize, kk: usize, special: bool) -> bool {
+        if special {
+            (kk / 4).is_multiple_of(3)
+        } else {
+            (kk / 4 + outer) % 3 == 1
+        }
+    }
+
+    /// FNV-1a over the output bits of all five kernels on a shape grid
+    /// covering dimensions of 1 and non-multiples of 4, sizes above
+    /// [`MC`]/[`KC`], the `n == 1` micro-kernel, zero 4-groups, `-0.0`,
+    /// and non-finite `b` entries under zero `a` groups. NaN outputs are
+    /// folded as one canonical NaN: Rust leaves NaN payloads and signs
+    /// unspecified, so only NaN-ness is part of the contract.
+    fn gemm_digest(set: &GemmSet) -> u64 {
+        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut fold = |out: &[f64]| {
+            for &v in out {
+                let bits = if v.is_nan() {
+                    f64::NAN.to_bits()
+                } else {
+                    v.to_bits()
+                };
+                for byte in bits.to_le_bytes() {
+                    hash ^= u64::from(byte);
+                    hash = hash.wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+        };
+        let shapes = [
+            (1, 1, 1),
+            (1, 5, 1),
+            (2, 3, 7),
+            (4, 4, 4),
+            (5, 9, 1),
+            (7, 13, 6),
+            (3, 8, 5),
+            (70, 1, 5),
+            (66, 67, 3),
+            (9, 70, 1),
+            (67, 5, 1),
+            (6, 130, 9),
+        ];
+        for &(m, k, n) in &shapes {
+            for special in [false, true] {
+                let seed = (m * 10_000 + k * 100 + n) as u64 * 2 + u64::from(special);
+                // Row-major `m x k` lhs, contraction along the row.
+                let a: Vec<f64> = (0..m * k)
+                    .map(|x| entry(seed, x / k, x % k, lhs_zero_group(x / k, x % k, special)))
+                    .collect();
+                // `k x n` rhs for gemm, `n x k` rhs for gates_gemm.
+                let b_kn: Vec<f64> = (0..k * n)
+                    .map(|x| rhs_entry(seed + 1, x % n, x / n, special))
+                    .collect();
+                let b_nk: Vec<f64> = (0..n * k)
+                    .map(|x| rhs_entry(seed + 2, x / k, x % k, special))
+                    .collect();
+                // `k x m` lhs for gemm_tn_acc: contraction runs down columns.
+                let a_km: Vec<f64> = (0..k * m)
+                    .map(|x| {
+                        entry(
+                            seed + 3,
+                            x % m,
+                            x / m,
+                            lhs_zero_group(x % m, x / m, special),
+                        )
+                    })
+                    .collect();
+                let seed_c: Vec<f64> = (0..m * n).map(|x| entry(seed + 4, 0, x, false)).collect();
+
+                let mut c = vec![f64::NAN; m * n];
+                (set.gemm)(m, k, n, &a, &b_kn, &mut c);
+                fold(&c);
+                let mut c = seed_c.clone();
+                (set.gemm_acc)(m, k, n, &a, &b_kn, &mut c);
+                fold(&c);
+                let mut c = seed_c.clone();
+                (set.gemm_tn_acc)(k, m, n, &a_km, &b_kn, &mut c);
+                fold(&c);
+                let mut c = vec![f64::NAN; m * n];
+                (set.gates_gemm)(m, k, n, &a, &b_nk, &mut c);
+                fold(&c);
+                let mut c = seed_c.clone();
+                (set.gates_gemm_acc)(m, k, n, &a, &b_nk, &mut c);
+                fold(&c);
+            }
+        }
+        hash
+    }
+
+    /// Digest of the GEMM kernels, recorded before the instruction-set
+    /// dispatch existed; every instantiation must reproduce it.
+    const GEMM_DIGEST: u64 = 0xd744_c0b4_26d2_ea69;
+
+    #[test]
+    fn every_gemm_instantiation_reproduces_the_pinned_digest() {
+        use std::io::Write;
+        let dispatched = GemmSet {
+            gemm,
+            gemm_acc,
+            gemm_tn_acc,
+            gates_gemm,
+            gates_gemm_acc,
+        };
+        assert_eq!(
+            gemm_digest(&dispatched),
+            GEMM_DIGEST,
+            "dispatcher ({})",
+            isa()
+        );
+        let portable = GemmSet {
+            gemm: |m, k, n, a, b, c| {
+                c.fill(0.0);
+                gemm_acc_portable(m, k, n, a, b, c);
+            },
+            gemm_acc: gemm_acc_portable,
+            gemm_tn_acc: gemm_tn_acc_portable,
+            gates_gemm,
+            gates_gemm_acc,
+        };
+        assert_eq!(
+            gemm_digest(&portable),
+            GEMM_DIGEST,
+            "portable instantiation"
+        );
+        #[cfg(all(target_arch = "x86_64", not(miri)))]
+        if avx2() {
+            // SAFETY (every block below): these closures are only called
+            // by the `gemm_digest` on the next line, after `avx2()`
+            // detected AVX2 on this CPU.
+            let wide = GemmSet {
+                gemm: |m, k, n, a, b, c| {
+                    c.fill(0.0);
+                    unsafe { gemm_acc_avx2(m, k, n, a, b, c) };
+                },
+                gemm_acc: |m, k, n, a, b, c| unsafe { gemm_acc_avx2(m, k, n, a, b, c) },
+                gemm_tn_acc: |k, m, n, a, b, c| unsafe { gemm_tn_acc_avx2(k, m, n, a, b, c) },
+                gates_gemm,
+                gates_gemm_acc,
+            };
+            assert_eq!(gemm_digest(&wide), GEMM_DIGEST, "AVX2 instantiation");
+            return;
+        }
+        // Written past the test harness's output capture, so a passing run
+        // on a CPU without AVX2 still says what it did not check.
+        let _ = writeln!(
+            std::io::stderr(),
+            "AVX2 not available: only the portable GEMM instantiation was checked"
+        );
     }
 
     #[test]

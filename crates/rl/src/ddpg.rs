@@ -14,7 +14,8 @@ use std::sync::Arc;
 ///
 /// Defaults follow the paper's EA-DRL setup where stated (γ = 0.9,
 /// learning rate α = 0.01, diversity sampling) and the original DDPG
-/// elsewhere (τ = 0.001 Polyak updates, OU exploration noise).
+/// elsewhere (OU exploration noise), except that the Polyak updates use
+/// τ = 0.01, ten times the original DDPG's 0.001.
 #[derive(Debug, Clone)]
 pub struct DdpgConfig {
     /// Discount factor γ.
