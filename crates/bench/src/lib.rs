@@ -224,9 +224,9 @@ pub fn evaluate_all(scale: Scale) -> Vec<DatasetEvaluation> {
 
 /// Wall-clock seconds for the *online* phase of one combination method on
 /// one dataset: the guarded pool sweep ([`PoolGuard::sweep`], the
-/// production path `EaDrl::predict_next` serves through) plus weight
-/// computation and combination for every test step — the Table III
-/// measurement. The combiner must already be warmed up; the pool must
+/// production path `EaDrl::predict_next` serves through, ARIMA/ETS
+/// streams included) plus weight computation and combination for every
+/// test step — the Table III measurement. The combiner must already be warmed up; the pool must
 /// already be fitted.
 pub fn time_online(
     combiner: &mut dyn Combiner,

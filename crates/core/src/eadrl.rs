@@ -3,13 +3,13 @@
 
 use crate::combiner::Combiner;
 use crate::env::{normalize_window, EnsembleEnv, RewardKind};
-use crate::guard::{renormalize_over_active, GuardConfig, MemberStream, PoolGuard};
+use crate::guard::{renormalize_over_active, GuardConfig, PoolGuard};
 use crate::persist::PolicySnapshot;
 use eadrl_linalg::vector::dot;
 use eadrl_models::{fallback_forecast, Forecaster, ModelError};
 use eadrl_obs::Level;
 use eadrl_rl::{ActionSquash, DdpgAgent, DdpgConfig, EpisodeStats, SamplingStrategy};
-use eadrl_timeseries::sanitize::sanitize_series;
+use eadrl_timeseries::sanitize::{sanitize_series, SanitizeStats};
 use eadrl_timeseries::window::SlideWindow;
 
 /// Shannon entropy of a weight vector (natural log) — 0 for a one-hot
@@ -627,11 +627,6 @@ pub struct EaDrl {
     dropped: Vec<String>,
     policy: EaDrlPolicy,
     guard: PoolGuard,
-    /// One serving state per pool member, kept across `predict_next`
-    /// calls (empty until the first call after a fit).
-    streams: Vec<MemberStream>,
-    /// The sanitized history the streams have been fed.
-    served: Vec<f64>,
     fitted: bool,
 }
 
@@ -648,8 +643,6 @@ impl EaDrl {
             dropped: Vec::new(),
             policy: EaDrlPolicy::new(config),
             guard,
-            streams: Vec::new(),
-            served: Vec::new(),
             fitted: false,
         }
     }
@@ -666,27 +659,15 @@ impl EaDrl {
         // Repair gaps/non-finite values before any model sees the series
         // (forward-fill policy — see `eadrl_timeseries::sanitize`). A
         // fully non-finite series cannot be repaired meaningfully.
-        let sanitized = sanitize_series(train);
+        let sanitized = sanitize_logged(train, "fit");
         let train: &[f64] = match &sanitized {
             None => train,
-            Some((fixed, stats)) => {
-                eadrl_obs::event(
-                    "eadrl.sanitize",
-                    Level::Warn,
-                    &[
-                        ("context", "fit".into()),
-                        ("replaced", stats.replaced.into()),
-                        ("leading", stats.leading.into()),
-                        ("len", stats.len.into()),
-                    ],
-                );
-                if stats.replaced == stats.len {
-                    return Err(ModelError::Numerical {
-                        context: "training series has no finite values".into(),
-                    });
-                }
-                fixed
+            Some((_, stats)) if stats.replaced == stats.len => {
+                return Err(ModelError::Numerical {
+                    context: "training series has no finite values".into(),
+                });
             }
+            Some((fixed, _)) => fixed,
         };
         let val_fraction = self.policy.config.val_fraction.clamp(0.05, 0.5);
         let fit_len = ((train.len() as f64) * (1.0 - val_fraction)).round() as usize;
@@ -730,8 +711,6 @@ impl EaDrl {
         self.policy.warm_up(&preds, val_part);
         // Health tracking and serving state start fresh for the fitted pool.
         self.guard.reset(self.pool.len());
-        self.streams.clear();
-        self.served.clear();
         self.fitted = true;
         Ok(())
     }
@@ -752,37 +731,17 @@ impl EaDrl {
     /// On a fault-free step the arithmetic is identical, in order, to
     /// the unguarded loop, so clean runs stay byte-for-byte reproducible.
     ///
-    /// Members with a [`Forecaster::stream`] (ARIMA, ETS) keep it across
-    /// calls and are fed only the values that arrived since the previous
-    /// call, so a step costs the same however long the history grows.
-    /// That holds while each call's sanitized history extends the
-    /// previous one bit for bit; any other history (a shorter one, a
-    /// rewritten tail, a repaired gap) rebuilds every stream from the
-    /// whole history. Either way the forecast is bitwise what the
-    /// members' `predict_next` on the whole history gives.
+    /// The guard keeps the streams of ARIMA and ETS members across calls
+    /// ([`PoolGuard::sweep`]), so a step costs the same however long the
+    /// history grows while each call's sanitized history extends the
+    /// previous one; any other history (a shorter one, a rewritten tail,
+    /// a repaired gap) rebuilds them. Either way the forecast is bitwise
+    /// what the members' `predict_next` on the whole history gives.
     pub fn predict_next(&mut self, history: &[f64]) -> f64 {
         let _span = eadrl_obs::span_at(Level::Debug, "eadrl.predict_next");
-        let sanitized = sanitize_series(history);
-        let history: &[f64] = match &sanitized {
-            None => history,
-            Some((fixed, stats)) => {
-                eadrl_obs::event(
-                    "eadrl.sanitize",
-                    Level::Warn,
-                    &[
-                        ("context", "predict_history".into()),
-                        ("replaced", stats.replaced.into()),
-                        ("leading", stats.leading.into()),
-                        ("len", stats.len.into()),
-                    ],
-                );
-                fixed
-            }
-        };
-        self.sync_streams(history);
-        let sweep = self
-            .guard
-            .sweep_streams(&self.pool, &mut self.streams, history);
+        let sanitized = sanitize_logged(history, "predict_history");
+        let history = sanitized.as_ref().map_or(history, |(fixed, _)| fixed);
+        let sweep = self.guard.sweep(&self.pool, history);
         let w = self.policy.weights(self.pool.len());
         if sweep.all_active {
             // Fault-free fast path: bit-identical to the historical
@@ -821,28 +780,6 @@ impl EaDrl {
         });
         self.policy.observe_served(ens);
         ens
-    }
-
-    /// Makes `served` equal to `history`. When `history` extends `served`
-    /// bit for bit, only the new suffix is appended and each stream will
-    /// consume it; otherwise every stream is reopened (a lost one stays
-    /// lost) and will consume `history` from the start.
-    fn sync_streams(&mut self, history: &[f64]) {
-        let n = self.served.len();
-        let extends = self.streams.len() == self.pool.len()
-            && history.len() >= n
-            && same_bits(&self.served, &history[..n]);
-        if !extends {
-            self.streams
-                .resize_with(self.pool.len(), || MemberStream::Stateless);
-            for (slot, model) in self.streams.iter_mut().zip(&self.pool) {
-                if !matches!(slot, MemberStream::Lost) {
-                    *slot = MemberStream::open(model.as_ref());
-                }
-            }
-            self.served.clear();
-        }
-        self.served.extend_from_slice(&history[self.served.len()..]);
     }
 
     /// Forecasts the next `n` values recursively (Algorithm 1): each
@@ -901,25 +838,33 @@ impl EaDrl {
     }
 }
 
-/// `a == b` bit for bit, as a branch-free scan per block so the
-/// comparison vectorizes.
-fn same_bits(a: &[f64], b: &[f64]) -> bool {
-    const BLOCK: usize = 256;
-    a.len() == b.len()
-        && a.chunks(BLOCK).zip(b.chunks(BLOCK)).all(|(x, y)| {
-            x.iter()
-                .zip(y)
-                .fold(0u64, |diff, (p, q)| diff | (p.to_bits() ^ q.to_bits()))
-                == 0
-        })
+/// [`sanitize_series`] that reports a repair as an `eadrl.sanitize`
+/// event tagged with `context`.
+pub(crate) fn sanitize_logged(
+    series: &[f64],
+    context: &'static str,
+) -> Option<(Vec<f64>, SanitizeStats)> {
+    let sanitized = sanitize_series(series);
+    if let Some((_, stats)) = &sanitized {
+        eadrl_obs::event(
+            "eadrl.sanitize",
+            Level::Warn,
+            &[
+                ("context", context.into()),
+                ("replaced", stats.replaced.into()),
+                ("leading", stats.leading.into()),
+                ("len", stats.len.into()),
+            ],
+        );
+    }
+    sanitized
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::guard::tests::Counting;
     use eadrl_models::{auto_regressive, Naive, SeasonalNaive};
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
 
     fn seasonal_series(n: usize) -> Vec<f64> {
         (0..n)
@@ -1067,132 +1012,22 @@ mod tests {
         let _ = EaDrl::new(Vec::new(), EaDrlConfig::default());
     }
 
-    /// Test double whose stream counts the values pushed into it (and
-    /// the streams opened) and panics on the `panic_on`-th push. It
-    /// forecasts the last value, as its `predict_next` does.
-    #[derive(Clone, Default)]
-    struct Counting {
-        pushes: Arc<AtomicUsize>,
-        opens: Arc<AtomicUsize>,
-        panic_on: Option<usize>,
-    }
-
-    struct CountingStream {
-        model: Counting,
-        last: f64,
-    }
-
-    impl eadrl_models::ForecastStream for CountingStream {
-        fn push(&mut self, y: f64) {
-            let k = self.model.pushes.fetch_add(1, Ordering::Relaxed) + 1;
-            if self.model.panic_on == Some(k) {
-                panic!("scripted stream panic");
-            }
-            self.last = y;
-        }
-        fn forecast(&self) -> f64 {
-            self.last
-        }
-    }
-
-    impl Forecaster for Counting {
-        fn name(&self) -> &str {
-            "Counting"
-        }
-        fn fit(&mut self, _series: &[f64]) -> Result<(), ModelError> {
-            Ok(())
-        }
-        fn predict_next(&self, history: &[f64]) -> f64 {
-            fallback_forecast(history)
-        }
-        fn stream(&self) -> Option<Box<dyn eadrl_models::ForecastStream>> {
-            self.opens.fetch_add(1, Ordering::Relaxed);
-            Some(Box::new(CountingStream {
-                model: self.clone(),
-                last: 0.0,
-            }))
-        }
-        fn box_clone(&self) -> Box<dyn Forecaster> {
-            Box::new(self.clone())
-        }
-    }
-
-    fn counted(model: &Counting) -> (usize, usize) {
-        (
-            model.pushes.load(Ordering::Relaxed),
-            model.opens.load(Ordering::Relaxed),
-        )
-    }
-
     #[test]
-    fn streams_consume_only_new_values_and_rebuild_on_any_other_history() {
-        let s = seasonal_series(80);
+    fn predict_next_streams_the_sanitized_history_and_fit_resets_the_guard() {
+        let s = seasonal_series(200);
         let counting = Counting::default();
         let pool: Vec<Box<dyn Forecaster>> = vec![Box::new(counting.clone()), Box::new(Naive)];
         let mut model = EaDrl::new(pool, quick_config(0));
-        let mut serve = |h: &[f64]| {
-            let value = model.predict_next(h);
-            assert_eq!(value.to_bits(), h[h.len() - 1].to_bits());
-        };
-        serve(&s[..50]);
-        assert_eq!(counted(&counting), (50, 1));
-        serve(&s[..51]);
-        serve(&s[..53]);
-        assert_eq!(counted(&counting), (53, 1), "growth pushes the suffix");
-        serve(&s[..53]);
-        assert_eq!(counted(&counting), (53, 1), "same history pushes nothing");
-        let mut rewritten = s[..53].to_vec();
-        rewritten[52] += 1.0;
-        serve(&rewritten);
-        assert_eq!(counted(&counting), (106, 2), "a rewritten tail rebuilds");
-        serve(&s[..10]);
-        assert_eq!(counted(&counting), (116, 3), "a shorter history rebuilds");
+        assert_eq!(model.predict_next(&s[..50]).to_bits(), s[49].to_bits());
         // Sanitization runs first: a trailing NaN is served as the
-        // forward-filled value, which extends the served history.
-        let mut gap = s[..10].to_vec();
+        // forward-filled value, which extends the streamed history.
+        let mut gap = s[..50].to_vec();
         gap.push(f64::NAN);
-        assert_eq!(model.predict_next(&gap).to_bits(), s[9].to_bits());
-        assert_eq!(counted(&counting), (117, 3));
-    }
-
-    #[test]
-    fn a_panicking_stream_is_dropped_until_the_next_fit() {
-        let s = seasonal_series(200);
-        let counting = Counting {
-            panic_on: Some(55),
-            ..Counting::default()
-        };
-        let pool: Vec<Box<dyn Forecaster>> = vec![Box::new(counting.clone()), Box::new(Naive)];
-        let mut model = EaDrl::new(pool, quick_config(0));
-        model.predict_next(&s[..50]);
-        assert_eq!(model.guard().total_faults(0), 0);
-        // The 55th push panics: a caught fault, served by the survivor.
-        assert_eq!(model.predict_next(&s[..60]).to_bits(), s[59].to_bits());
-        assert_eq!(model.guard().total_faults(0), 1);
-        assert_eq!(counted(&counting), (55, 1));
-        // From now on the member reads the whole history, cleanly; a
-        // rebuild does not reopen its stream.
-        for h in [&s[..61], &s[..20], &s[..62]] {
-            assert_eq!(model.predict_next(h).to_bits(), h[h.len() - 1].to_bits());
-        }
-        assert_eq!(model.guard().total_faults(0), 1);
-        assert_eq!(counted(&counting), (55, 1));
-        // A fit restores streaming.
+        assert_eq!(model.predict_next(&gap).to_bits(), s[49].to_bits());
+        assert_eq!(counting.counted(), (51, 1));
+        // A fit resets the guard, streams included.
         model.fit(&s[..150]).unwrap();
         model.predict_next(&s[..150]);
-        assert_eq!(counted(&counting), (205, 2));
-    }
-
-    #[test]
-    fn same_bits_compares_bit_patterns() {
-        let a: Vec<f64> = (0..600).map(|t| t as f64 * 0.5).collect();
-        assert!(same_bits(&a, &a.clone()));
-        assert!(!same_bits(&a, &a[..599]));
-        let mut b = a.clone();
-        b[517] = -b[517];
-        assert!(!same_bits(&a, &b));
-        // Bits, not values: 0.0 and -0.0 differ, NaN equals itself.
-        assert!(!same_bits(&[0.0], &[-0.0]));
-        assert!(same_bits(&[f64::NAN], &[f64::NAN]));
+        assert_eq!(counting.counted(), (201, 2));
     }
 }

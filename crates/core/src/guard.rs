@@ -18,10 +18,10 @@
 //!   each step, re-entering after
 //!   [`GuardConfig::reentry_clean_calls`] consecutive clean probes;
 //! * members with a serving stream ([`Forecaster::stream`]: ARIMA,
-//!   ETS) are called through it on [`crate::EaDrl`]'s serving path: the
+//!   ETS) are called through it, kept by the guard across sweeps: the
 //!   push of the new values and the forecast run inside the same guarded
 //!   region, and a stream that panics is dropped — its member serves
-//!   statelessly until the next fit;
+//!   statelessly until the guard is reset;
 //! * every masking decision is observable: `eadrl.degraded` (per
 //!   degraded step, with the effective weights actually served) and
 //!   `eadrl.quarantine` (enter/exit transitions) telemetry events.
@@ -114,13 +114,29 @@ pub struct GuardedSweep {
     pub all_active: bool,
 }
 
-/// Tracks pool-member health across serving steps and executes the
-/// guarded per-model calls. Owned by [`crate::EaDrl`]; the pool itself
-/// stays outside so borrows remain simple.
-#[derive(Debug, Clone)]
+/// Tracks pool-member health across serving steps, keeps one serving
+/// stream per member, and executes the guarded per-model calls. Owned by
+/// [`crate::EaDrl`] or by any loop that serves a fitted pool itself; the
+/// pool stays outside so borrows remain simple.
 pub struct PoolGuard {
     config: GuardConfig,
     health: Vec<MemberHealth>,
+    /// One slot per pool member, kept across sweeps (empty until the
+    /// first sweep after a reset). `None` reads the whole history on
+    /// every call: the model has no stream, or its stream panicked and
+    /// stays dropped until [`PoolGuard::reset`].
+    streams: Vec<Option<MemberStream>>,
+    /// The history the streams have been fed.
+    served: Vec<f64>,
+}
+
+impl std::fmt::Debug for PoolGuard {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PoolGuard")
+            .field("config", &self.config)
+            .field("health", &self.health)
+            .finish_non_exhaustive()
+    }
 }
 
 impl PoolGuard {
@@ -129,12 +145,17 @@ impl PoolGuard {
         PoolGuard {
             config,
             health: vec![MemberHealth::default(); m],
+            streams: Vec::new(),
+            served: Vec::new(),
         }
     }
 
-    /// Resets health tracking for a (re)fitted pool of `m` members.
+    /// Resets health tracking and drops every serving stream, for a
+    /// (re)fitted pool of `m` members: call it after every refit.
     pub fn reset(&mut self, m: usize) {
         self.health = vec![MemberHealth::default(); m];
+        self.streams.clear();
+        self.served.clear();
     }
 
     /// The active configuration.
@@ -160,54 +181,25 @@ impl PoolGuard {
     /// Calls every pool member once under the guard and updates health.
     ///
     /// `history` is the (already sanitized) input passed to each model.
-    /// Every member reads the whole history ([`guarded_call`]); the
-    /// serving path of [`crate::EaDrl`] uses the streaming form of the
-    /// same loop instead.
-    pub fn sweep(&mut self, pool: &[Box<dyn Forecaster>], history: &[f64]) -> GuardedSweep {
-        let budget = self.config.latency_budget_us;
-        self.sweep_with(pool, history, |_, model| {
-            guarded_call(model, history, budget)
-        })
-    }
-
-    /// [`PoolGuard::sweep`] for a caller that keeps one
-    /// [`MemberStream`] per member across calls: a member with a live
-    /// stream is fed only the values of `history` it has not consumed
-    /// yet and answers from its stream; every other member reads the
-    /// whole history. The guarded region (budget check, `catch_unwind`,
-    /// non-finite classification, health tracking) is the same. A
-    /// stream that panics is dropped and its member serves statelessly
-    /// from then on ([`MemberStream::Lost`]).
+    /// Members with a [`Forecaster::stream`] (ARIMA, ETS) keep it across
+    /// sweeps and push only the values that arrived since the previous
+    /// sweep, inside the guarded region; any history that does not
+    /// extend the previous one bit for bit reopens the streams. Every
+    /// other member reads the whole history ([`guarded_call`]). Either
+    /// way the values are bitwise `predict_next` on the whole history.
     ///
-    /// `streams` must be in step with `history`: every live stream has
-    /// consumed a prefix of it (see [`crate::EaDrl::predict_next`]).
-    pub(crate) fn sweep_streams(
-        &mut self,
-        pool: &[Box<dyn Forecaster>],
-        streams: &mut [MemberStream],
-        history: &[f64],
-    ) -> GuardedSweep {
+    /// A guard serves one fitted pool: [`PoolGuard::reset`] it after a
+    /// refit, or the streams keep serving the old fit.
+    pub fn sweep(&mut self, pool: &[Box<dyn Forecaster>], history: &[f64]) -> GuardedSweep {
+        self.sync_streams(pool, history);
         let budget = self.config.latency_budget_us;
-        self.sweep_with(pool, history, |i, model| {
-            guarded_stream_call(model, &mut streams[i], history, budget)
-        })
-    }
-
-    /// The one sweep loop: `call(i, model)` is member `i`'s guarded
-    /// call; its outcome updates health and fills the sweep.
-    fn sweep_with(
-        &mut self,
-        pool: &[Box<dyn Forecaster>],
-        history: &[f64],
-        mut call: impl FnMut(usize, &dyn Forecaster) -> Result<f64, FaultClass>,
-    ) -> GuardedSweep {
         let substitute = fallback_forecast(history);
         let mut values = Vec::with_capacity(pool.len());
         let mut active = Vec::with_capacity(pool.len());
         let mut faults = Vec::new();
         for (i, model) in pool.iter().enumerate() {
-            let outcome = call(i, model.as_ref());
-            match outcome {
+            let model = model.as_ref();
+            match guarded_stream_call(model, &mut self.streams[i], history, budget) {
                 Ok(value) => {
                     let in_quarantine = self.record_clean(i, model.name());
                     values.push(value);
@@ -228,6 +220,30 @@ impl PoolGuard {
             faults,
             all_active,
         }
+    }
+
+    /// Makes `served` equal to `history`. When `history` extends `served`
+    /// bit for bit, only the new suffix is appended and each stream will
+    /// consume it. On any other history every live stream is reopened and
+    /// will consume `history` from the start; a dropped one stays
+    /// dropped. A pool of another length than the slots opens all anew.
+    fn sync_streams(&mut self, pool: &[Box<dyn Forecaster>], history: &[f64]) {
+        let n = self.served.len();
+        if self.streams.len() != pool.len() {
+            self.streams = pool
+                .iter()
+                .map(|model| open_stream(model.as_ref()))
+                .collect();
+            self.served.clear();
+        } else if history.len() < n || !same_bits(&self.served, &history[..n]) {
+            for (slot, model) in self.streams.iter_mut().zip(pool) {
+                if slot.is_some() {
+                    *slot = open_stream(model.as_ref());
+                }
+            }
+            self.served.clear();
+        }
+        self.served.extend_from_slice(&history[self.served.len()..]);
     }
 
     /// Records a clean call; returns `true` while the member remains
@@ -298,49 +314,36 @@ pub fn guarded_call(
     })))
 }
 
-/// One member's serving state between calls of
-/// [`PoolGuard::sweep_streams`].
-pub(crate) enum MemberStream {
-    /// The model has no stream ([`Forecaster::stream`] is `None`): it
-    /// reads the whole history on every call.
-    Stateless,
-    /// A live stream that has consumed the first `consumed` values of
-    /// the served history.
-    Live {
-        stream: Box<dyn ForecastStream>,
-        consumed: usize,
-    },
-    /// The member's stream panicked. Its state is suspect, so the member
-    /// reads the whole history on every call until the pool is refitted.
-    Lost,
+/// A member's live serving stream, with the number of values of the
+/// served history it has consumed.
+struct MemberStream {
+    stream: Box<dyn ForecastStream>,
+    consumed: usize,
 }
 
-impl MemberStream {
-    /// A fresh state for `model`. A model that panics while opening its
-    /// stream is [`MemberStream::Lost`] from the start.
-    pub(crate) fn open(model: &dyn Forecaster) -> MemberStream {
-        match catch_unwind(AssertUnwindSafe(|| model.stream())) {
-            Ok(Some(stream)) => MemberStream::Live {
-                stream,
-                consumed: 0,
-            },
-            Ok(None) => MemberStream::Stateless,
-            Err(_) => MemberStream::Lost,
-        }
-    }
+/// Opens `model`'s stream: `None` when the model has none
+/// ([`Forecaster::stream`]) or panics while opening it.
+fn open_stream(model: &dyn Forecaster) -> Option<MemberStream> {
+    let stream = catch_unwind(AssertUnwindSafe(|| model.stream()))
+        .ok()
+        .flatten()?;
+    Some(MemberStream {
+        stream,
+        consumed: 0,
+    })
 }
 
 /// [`guarded_call`] for a member served through `slot`: a live stream
 /// pushes the unconsumed suffix of `history` and forecasts, inside the
 /// same budget check and `catch_unwind` and with the same non-finite
-/// classification. A panic drops the stream.
+/// classification. A panic drops the stream (`slot` becomes `None`).
 fn guarded_stream_call(
     model: &dyn Forecaster,
-    slot: &mut MemberStream,
+    slot: &mut Option<MemberStream>,
     history: &[f64],
     budget_us: Option<u64>,
 ) -> Result<f64, FaultClass> {
-    let MemberStream::Live { stream, consumed } = slot else {
+    let Some(MemberStream { stream, consumed }) = slot else {
         return guarded_call(model, history, budget_us);
     };
     check_budget(model, budget_us)?;
@@ -357,9 +360,22 @@ fn guarded_stream_call(
         }
     }));
     if outcome.is_err() {
-        *slot = MemberStream::Lost;
+        *slot = None;
     }
     classify(outcome)
+}
+
+/// `a == b` bit for bit, as a branch-free scan per block so the
+/// comparison vectorizes.
+fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    const BLOCK: usize = 256;
+    a.len() == b.len()
+        && a.chunks(BLOCK).zip(b.chunks(BLOCK)).all(|(x, y)| {
+            x.iter()
+                .zip(y)
+                .fold(0u64, |diff, (p, q)| diff | (p.to_bits() ^ q.to_bits()))
+                == 0
+        })
 }
 
 /// Deterministic budget enforcement: the model's declared cost against
@@ -416,9 +432,11 @@ pub fn renormalize_over_active(weights: &[f64], active: &[bool]) -> Vec<f64> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use eadrl_models::ModelError;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     /// Scripted test double: panics / returns NaN on chosen calls.
     struct Scripted {
@@ -557,5 +575,145 @@ mod tests {
         // Nobody active -> all-zero sentinel.
         let eff = renormalize_over_active(&[0.5, 0.5], &[false, false]);
         assert_eq!(eff, vec![0.0, 0.0]);
+    }
+
+    /// Test double whose stream counts the values pushed into it (and
+    /// the streams opened) and panics on the `panic_on`-th push. It
+    /// forecasts the last value, as its `predict_next` does.
+    #[derive(Clone, Default)]
+    pub(crate) struct Counting {
+        pushes: Arc<AtomicUsize>,
+        opens: Arc<AtomicUsize>,
+        panic_on: Option<usize>,
+    }
+
+    impl Counting {
+        /// `(values pushed, streams opened)` so far.
+        pub(crate) fn counted(&self) -> (usize, usize) {
+            (
+                self.pushes.load(Ordering::Relaxed),
+                self.opens.load(Ordering::Relaxed),
+            )
+        }
+    }
+
+    struct CountingStream {
+        model: Counting,
+        last: f64,
+    }
+
+    impl ForecastStream for CountingStream {
+        fn push(&mut self, y: f64) {
+            let k = self.model.pushes.fetch_add(1, Ordering::Relaxed) + 1;
+            if self.model.panic_on == Some(k) {
+                panic!("scripted stream panic");
+            }
+            self.last = y;
+        }
+        fn forecast(&self) -> f64 {
+            self.last
+        }
+    }
+
+    impl Forecaster for Counting {
+        fn name(&self) -> &str {
+            "Counting"
+        }
+        fn fit(&mut self, _series: &[f64]) -> Result<(), ModelError> {
+            Ok(())
+        }
+        fn predict_next(&self, history: &[f64]) -> f64 {
+            fallback_forecast(history)
+        }
+        fn stream(&self) -> Option<Box<dyn ForecastStream>> {
+            self.opens.fetch_add(1, Ordering::Relaxed);
+            Some(Box::new(CountingStream {
+                model: self.clone(),
+                last: 0.0,
+            }))
+        }
+        fn box_clone(&self) -> Box<dyn Forecaster> {
+            Box::new(self.clone())
+        }
+    }
+
+    fn ramp(n: usize) -> Vec<f64> {
+        (0..n).map(|t| t as f64 * 0.5 + 1.0).collect()
+    }
+
+    #[test]
+    fn streams_consume_only_new_values_and_rebuild_on_any_other_history() {
+        let s = ramp(80);
+        let counting = Counting::default();
+        let pool: Vec<Box<dyn Forecaster>> = vec![Box::new(counting.clone()), boxed(vec![2.0])];
+        let mut guard = PoolGuard::new(GuardConfig::default(), 2);
+        let mut serve = |h: &[f64]| {
+            let sweep = guard.sweep(&pool, h);
+            assert_eq!(sweep.values[0].to_bits(), h[h.len() - 1].to_bits());
+        };
+        serve(&s[..50]);
+        assert_eq!(counting.counted(), (50, 1));
+        serve(&s[..51]);
+        serve(&s[..53]);
+        assert_eq!(counting.counted(), (53, 1), "growth pushes the suffix");
+        serve(&s[..53]);
+        assert_eq!(counting.counted(), (53, 1), "same history pushes nothing");
+        let mut rewritten = s[..53].to_vec();
+        rewritten[52] += 1.0;
+        serve(&rewritten);
+        assert_eq!(counting.counted(), (106, 2), "a rewritten tail rebuilds");
+        serve(&s[..10]);
+        assert_eq!(counting.counted(), (116, 3), "a shorter history rebuilds");
+    }
+
+    #[test]
+    fn a_panicking_stream_faults_once_then_serves_statelessly_until_reset() {
+        let s = ramp(200);
+        let counting = Counting {
+            panic_on: Some(55),
+            ..Counting::default()
+        };
+        let pool: Vec<Box<dyn Forecaster>> = vec![Box::new(counting.clone()), boxed(vec![2.0])];
+        let mut guard = PoolGuard::new(GuardConfig::default(), 2);
+        assert!(guard.sweep(&pool, &s[..50]).all_active);
+        // The 55th push panics: one caught fault, the member masked.
+        let sweep = guard.sweep(&pool, &s[..60]);
+        assert_eq!(sweep.faults, vec![(0, FaultClass::Panic)]);
+        assert_eq!(sweep.active, vec![false, true]);
+        assert_eq!(counting.counted(), (55, 1));
+        // From now on the member reads the whole history, cleanly and
+        // with `predict_next`'s bits; a history that does not extend the
+        // served one reopens the other streams, not the lost one.
+        for h in [&s[..61], &s[..20], &s[..62]] {
+            let sweep = guard.sweep(&pool, h);
+            assert!(sweep.all_active);
+            assert_eq!(sweep.values[0].to_bits(), pool[0].predict_next(h).to_bits());
+        }
+        assert_eq!(guard.total_faults(0), 1);
+        assert_eq!(counting.counted(), (55, 1));
+        // Only a reset gives the member a live stream again...
+        guard.reset(2);
+        assert_eq!(guard.total_faults(0), 0);
+        guard.sweep(&pool, &s[..150]);
+        assert_eq!(counting.counted(), (205, 2));
+        // ...or a pool of another length, even over an extending
+        // history: its slots are opened anew, never indexed stale.
+        let fresh = Counting::default();
+        let other: Vec<Box<dyn Forecaster>> = vec![Box::new(fresh.clone())];
+        assert_eq!(guard.sweep(&other, &s[..152]).values, vec![s[151]]);
+        assert_eq!(fresh.counted(), (152, 1));
+    }
+
+    #[test]
+    fn same_bits_compares_bit_patterns() {
+        let a: Vec<f64> = (0..600).map(|t| t as f64 * 0.5).collect();
+        assert!(same_bits(&a, &a.clone()));
+        assert!(!same_bits(&a, &a[..599]));
+        let mut b = a.clone();
+        b[517] = -b[517];
+        assert!(!same_bits(&a, &b));
+        // Bits, not values: 0.0 and -0.0 differ, NaN equals itself.
+        assert!(!same_bits(&[0.0], &[-0.0]));
+        assert!(same_bits(&[f64::NAN], &[f64::NAN]));
     }
 }

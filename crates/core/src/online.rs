@@ -14,10 +14,9 @@
 //! ([`RefreshTrigger::DriftDetected`]).
 
 use crate::combiner::Combiner;
-use crate::eadrl::{EaDrlConfig, EaDrlPolicy};
+use crate::eadrl::{sanitize_logged, EaDrlConfig, EaDrlPolicy};
 use eadrl_obs::Level;
 use eadrl_timeseries::drift::PageHinkley;
-use eadrl_timeseries::sanitize::sanitize_series;
 use eadrl_timeseries::window::StepRing;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -186,35 +185,22 @@ impl AdaptiveEaDrl {
         // A live buffer can carry non-finite entries (faulty members, gap
         // bursts); repair it before it reaches policy learning. A buffer
         // with no finite actual at all cannot train anything.
-        match sanitize_series(&actuals) {
-            None => {}
-            Some((fixed, stats)) => {
-                eadrl_obs::event(
-                    "eadrl.sanitize",
-                    Level::Warn,
+        if let Some((fixed, stats)) = sanitize_logged(&actuals, "refresh_buffer") {
+            if stats.replaced == stats.len {
+                eadrl_obs::warn(
+                    "eadrl.online.refresh.skipped",
                     &[
-                        ("context", "refresh_buffer".into()),
-                        ("replaced", stats.replaced.into()),
-                        ("leading", stats.leading.into()),
-                        ("len", stats.len.into()),
+                        ("cause", cause.into()),
+                        ("buffer_len", self.history.len().into()),
+                        ("needed", (self.config.omega + 3).into()),
                     ],
                 );
-                if stats.replaced == stats.len {
-                    eadrl_obs::warn(
-                        "eadrl.online.refresh.skipped",
-                        &[
-                            ("cause", cause.into()),
-                            ("buffer_len", self.history.len().into()),
-                            ("needed", (self.config.omega + 3).into()),
-                        ],
-                    );
-                    self.staged_preds = preds;
-                    self.staged_actuals = actuals;
-                    return;
-                }
-                actuals.clear();
-                actuals.extend_from_slice(&fixed);
+                self.staged_preds = preds;
+                self.staged_actuals = actuals;
+                return;
             }
+            actuals.clear();
+            actuals.extend_from_slice(&fixed);
         }
         crate::experiment::sanitize_predictions(&mut preds, &actuals);
         // Bounded retry: attempt 0 runs with the configured seed (the
