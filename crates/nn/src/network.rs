@@ -37,8 +37,10 @@ pub trait Network {
         s.sqrt()
     }
 
-    /// Scales gradients so their global norm does not exceed `max_norm`.
-    fn clip_grad_norm(&mut self, max_norm: f64) {
+    /// Scales gradients so their global norm does not exceed `max_norm`,
+    /// and returns the norm before clipping (the [`Self::grad_norm`]
+    /// value, so callers that report it need no second pass).
+    fn clip_grad_norm(&mut self, max_norm: f64) -> f64 {
         let norm = self.grad_norm();
         if norm > max_norm && norm > 0.0 {
             let scale = max_norm / norm;
@@ -48,6 +50,7 @@ pub trait Network {
                 }
             });
         }
+        norm
     }
 
     /// Flattens all parameters into one vector (used for target-network

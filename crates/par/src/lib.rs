@@ -12,9 +12,14 @@
 //!
 //! [`par_map`] applies a pure-per-item function to each element of an
 //! owned `Vec` and merges results **strictly by input index**. Work is
-//! split into contiguous chunks, one per worker, with a *static*
-//! assignment (no work stealing): which item runs on which thread is a
-//! function of `(items.len(), workers)` only, never of timing. Because
+//! dealt out strided — item `i` goes to worker `i % workers`, and each
+//! worker walks its items in ascending order — with a *static*
+//! assignment (no work stealing, no shared queue): which item runs on
+//! which thread is a function of `(items.len(), workers)` only, never of
+//! timing. Striding matters because batches are often sorted by cost:
+//! the standard pool lists its statistical families before the
+//! recurrent ones, so contiguous chunks would hand one worker nearly
+//! all of the pool fit. Because
 //! `f` receives ownership of its item and may not share mutable state
 //! (the `Fn` + [`Sync`] bounds enforce this), the result for item `i`
 //! cannot depend on scheduling — so the merged output equals the serial
@@ -31,17 +36,18 @@
 //! `EADRL_PAR_THREADS` selects the worker count; unset (or unparsable)
 //! falls back to [`std::thread::available_parallelism`]. `1` forces the
 //! serial fallback, which runs **the identical code path** (same
-//! chunking, same per-item panic containment, same index merge) on the
+//! assignment, same per-item panic containment, same index merge) on the
 //! calling thread — there is no separate serial implementation to drift
 //! out of sync. [`par_map_with`] pins the count explicitly (used by the
 //! differential tests so they need no env mutation).
 //!
 //! ## Panic containment
 //!
-//! A panic inside `f` is caught at the owning worker, the batch is
-//! abandoned, and [`par_map`] returns [`ParError::Panic`] carrying the
+//! A panic inside `f` is caught at the owning worker, which stops
+//! there, and [`par_map`] returns [`ParError::Panic`] carrying the
 //! *originating input index* — the smallest panicking index across
-//! workers, so even the error is deterministic. Workers are scoped
+//! workers (each worker ascends, so its first panic is its smallest),
+//! so even the error is deterministic. Workers are scoped
 //! threads ([`std::thread::scope`]): every worker is joined before
 //! `par_map` returns, no thread outlives the call, and the pool is
 //! trivially usable for the next call (there is no poisoned state to
@@ -51,9 +57,10 @@
 //! ## Telemetry
 //!
 //! Each call opens a `par.map` span (debug: `items`, `workers`,
-//! `chunk`); each worker runs its chunk inside a `par.worker` span
-//! (debug: `worker`, `items`, `queue_wait_us` — the spawn-to-start
-//! latency), and a contained panic emits `par.panic` (warn: `index`).
+//! `chunk` — the busiest worker's item count, `ceil(items / workers)`);
+//! each worker runs its items inside a `par.worker` span (debug:
+//! `worker`, `items`, `queue_wait_us` — the spawn-to-start latency),
+//! and a contained panic emits `par.panic` (warn: `index`).
 //! Counters `par.maps_total` / `par.tasks_total` accumulate in the
 //! global registry.
 //!
@@ -61,11 +68,13 @@
 //! under an [`eadrl_obs::worker_context`] that (a) stamps its events
 //! with `thread = 1 + worker index`, (b) inherits the caller's span
 //! path so worker spans nest under `par.map` instead of becoming
-//! orphaned roots, and (c) buffers events thread-locally. After the
-//! join, buffers are flushed in worker-index order — since chunks are
-//! contiguous and ascending, the flushed trace is ordered exactly like
-//! the serial one, at every thread count. The serial fallback runs the
-//! identical context + buffer path inline.
+//! orphaned roots, and (c) buffers events thread-locally. A worker
+//! drains its buffer after every item and tags the batch with the
+//! item's input index. After the join, item batches are replayed in
+//! input-index order, then the `par.worker` spans in worker order, so
+//! the flushed trace is ordered exactly like the serial one, at every
+//! thread count. The serial fallback runs the identical context +
+//! buffer path inline.
 
 use eadrl_obs::Level;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -215,77 +224,57 @@ where
     let parent_path = eadrl_obs::current_span_path();
     let buffer = eadrl_obs::level().is_some();
 
-    // Static contiguous chunking: worker w owns items
-    // [w*base + min(w, extra) ..], sizes differing by at most one.
-    // The assignment depends only on (n, workers), never on timing.
-    let base = n / workers;
-    let extra = n % workers;
-    let mut chunks: Vec<Vec<(usize, T)>> = Vec::with_capacity(workers);
-    let mut iter = items.into_iter().enumerate();
-    for w in 0..workers {
-        let len = base + usize::from(w < extra);
-        chunks.push(iter.by_ref().take(len).collect());
+    // Static strided assignment: worker w owns items w, w + workers,
+    // w + 2·workers, … in ascending order. It depends only on
+    // (n, workers), never on timing, and spreads a batch whose cost
+    // rises with the index (the pool lists its cheap statistical
+    // families before the recurrent ones) over every worker.
+    let mut shares: Vec<Vec<(usize, T)>> = (0..workers)
+        .map(|w| Vec::with_capacity((n - w).div_ceil(workers)))
+        .collect();
+    for (index, item) in items.into_iter().enumerate() {
+        shares[index % workers].push((index, item));
     }
 
-    let outcomes: Vec<ChunkOutcome<R>> = if workers == 1 {
-        // Serial fallback: the identical per-chunk code path (context,
+    let outcomes: Vec<WorkerOutcome<R>> = if workers == 1 {
+        // Serial fallback: the identical per-worker code path (context,
         // buffering, span, containment), run inline — no spawn.
-        chunks
+        shares
             .into_iter()
             .enumerate()
-            .map(|(w, chunk)| {
-                let (outcome, events) =
-                    run_chunk(w, chunk, &f, None, parent_path.as_deref(), buffer);
-                eadrl_obs::emit_batch(events);
-                outcome
-            })
+            .map(|(w, share)| run_worker(w, share, &f, None, parent_path.as_deref(), buffer))
             .collect()
     } else {
         // Debug-gated so the clock is never read when telemetry is off
         // (which also keeps this crate runnable under Miri isolation).
         // eadrl-lint: allow(determinism): queue-wait telemetry only — the timestamp never reaches a result
         let spawned_at = eadrl_obs::enabled(Level::Debug).then(std::time::Instant::now);
-        let batches: Vec<(ChunkOutcome<R>, Vec<eadrl_obs::Event>)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = chunks
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = shares
                 .into_iter()
                 .enumerate()
-                .map(|(w, chunk)| {
+                .map(|(w, share)| {
                     let f = &f;
                     let parent = parent_path.as_deref();
-                    scope.spawn(move || run_chunk(w, chunk, f, spawned_at, parent, buffer))
+                    scope.spawn(move || run_worker(w, share, f, spawned_at, parent, buffer))
                 })
                 .collect();
             handles
                 .into_iter()
-                .map(|h| {
-                    h.join().unwrap_or_else(|_| {
-                        (
-                            ChunkOutcome {
-                                results: Vec::new(),
-                                panic: None,
-                            },
-                            Vec::new(),
-                        )
-                    })
-                })
+                .map(|h| h.join().unwrap_or_else(|_| WorkerOutcome::default()))
                 .collect()
-        });
-        // Flush worker buffers in worker-index order: chunks are
-        // contiguous ascending, so this equals the serial trace order.
-        batches
-            .into_iter()
-            .map(|(outcome, events)| {
-                eadrl_obs::emit_batch(events);
-                outcome
-            })
-            .collect()
+        })
     };
 
-    // Merge strictly by input index. Chunks are contiguous and ordered,
-    // so this is a flatten — slots make the invariant explicit and turn
-    // any violation into a typed error rather than wrong output.
+    // Merge strictly by input index. Slots make the invariant explicit
+    // and turn any violation into a typed error rather than wrong
+    // output. Telemetry replays the same way: every item's events in
+    // input-index order, then the `par.worker` spans in worker order —
+    // so the trace reads like the serial one at every thread count.
     let mut first_panic: Option<(usize, String)> = None;
     let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
+    let mut item_events: Vec<Vec<eadrl_obs::Event>> = (0..n).map(|_| Vec::new()).collect();
+    let mut worker_events = Vec::with_capacity(workers);
     for outcome in outcomes {
         if let Some((index, message)) = outcome.panic {
             let sooner = first_panic.as_ref().is_none_or(|(i, _)| index < *i);
@@ -296,6 +285,13 @@ where
         for (index, value) in outcome.results {
             slots[index] = Some(value);
         }
+        for (index, events) in outcome.item_events {
+            item_events[index] = events;
+        }
+        worker_events.push(outcome.worker_events);
+    }
+    for events in item_events.into_iter().chain(worker_events) {
+        eadrl_obs::emit_batch(events);
     }
     if let Some((index, message)) = first_panic {
         eadrl_obs::warn("par.panic", &[("index", index.into())]);
@@ -311,66 +307,79 @@ where
     Ok(out)
 }
 
-/// What one worker hands back: results for its chunk prefix, plus the
-/// panic that interrupted it, if any.
-struct ChunkOutcome<R> {
+/// What one worker hands back: results for the items it ran, the
+/// panic that stopped it, if any, and its buffered telemetry (empty
+/// when telemetry is off).
+struct WorkerOutcome<R> {
     results: Vec<(usize, R)>,
     panic: Option<(usize, String)>,
+    /// Events each item emitted, tagged with its input index (the
+    /// panicking item's included: the trace up to the failure is kept).
+    item_events: Vec<(usize, Vec<eadrl_obs::Event>)>,
+    /// The worker's own `par.worker` span, emitted after its items.
+    worker_events: Vec<eadrl_obs::Event>,
 }
 
-/// Runs one worker's chunk inside an [`eadrl_obs::worker_context`] and a
-/// `par.worker` span, returning the outcome plus the worker's buffered
-/// telemetry (empty when `buffer` is off). A contained item panic still
-/// returns the buffer — the trace up to the failure is kept.
-fn run_chunk<T, R, F>(
+impl<R> Default for WorkerOutcome<R> {
+    fn default() -> Self {
+        WorkerOutcome {
+            results: Vec::new(),
+            panic: None,
+            item_events: Vec::new(),
+            worker_events: Vec::new(),
+        }
+    }
+}
+
+/// Runs one worker's share, ascending by input index, inside an
+/// [`eadrl_obs::worker_context`] and a `par.worker` span. The buffer is
+/// drained after every item so the merge can replay item telemetry in
+/// input-index order. The first panicking item stops the worker; since
+/// the share ascends, it is also the worker's smallest panicking index.
+fn run_worker<T, R, F>(
     worker: usize,
-    chunk: Vec<(usize, T)>,
+    share: Vec<(usize, T)>,
     f: &F,
     spawned_at: Option<std::time::Instant>,
     parent_path: Option<&str>,
     buffer: bool,
-) -> (ChunkOutcome<R>, Vec<eadrl_obs::Event>)
+) -> WorkerOutcome<R>
 where
     F: Fn(usize, T) -> R,
 {
     let mut ctx = eadrl_obs::worker_context(worker as u64 + 1, parent_path, buffer);
-    let outcome = {
+    let mut out = WorkerOutcome {
+        results: Vec::with_capacity(share.len()),
+        ..WorkerOutcome::default()
+    };
+    {
         let mut span = eadrl_obs::span_at(Level::Debug, "par.worker");
         span.record("worker", worker.into());
-        span.record("items", chunk.len().into());
+        span.record("items", share.len().into());
         if span.is_recording() {
             let queue_wait_us = spawned_at.map_or(0, |t| t.elapsed().as_micros() as u64);
             span.record("queue_wait_us", queue_wait_us.into());
         }
-        run_items(chunk, f)
-    };
-    let events = ctx.take_buffered();
-    (outcome, events)
-}
-
-fn run_items<T, R, F>(chunk: Vec<(usize, T)>, f: &F) -> ChunkOutcome<R>
-where
-    F: Fn(usize, T) -> R,
-{
-    let mut results = Vec::with_capacity(chunk.len());
-    for (index, item) in chunk {
-        match catch_unwind(AssertUnwindSafe(|| f(index, item))) {
-            Ok(value) => results.push((index, value)),
-            Err(payload) => {
-                // Abandon the rest of the chunk: the remaining items
-                // drop here, the completed prefix is still reported so
-                // the caller sees a consistent (index → result) map.
-                return ChunkOutcome {
-                    results,
-                    panic: Some((index, panic_message(payload.as_ref()))),
-                };
+        for (index, item) in share {
+            let result = catch_unwind(AssertUnwindSafe(|| f(index, item)));
+            let events = ctx.take_buffered();
+            if !events.is_empty() {
+                out.item_events.push((index, events));
+            }
+            match result {
+                Ok(value) => out.results.push((index, value)),
+                Err(payload) => {
+                    // Abandon the rest of the share: its items drop with
+                    // the iterator, the completed results are still
+                    // reported so the merge sees a consistent map.
+                    out.panic = Some((index, panic_message(payload.as_ref())));
+                    break;
+                }
             }
         }
     }
-    ChunkOutcome {
-        results,
-        panic: None,
-    }
+    out.worker_events = ctx.take_buffered();
+    out
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -418,7 +427,7 @@ mod tests {
 
     #[test]
     fn panic_is_contained_with_smallest_index() {
-        // Two panicking items in different chunks: index 2 must win
+        // Two panicking items on different workers: index 2 must win
         // regardless of which worker finishes first.
         for threads in [1, 2, 4] {
             let err = par_map_with(threads, (0..16u64).collect(), |x| {
@@ -435,6 +444,26 @@ mod tests {
                 "threads={threads}"
             );
         }
+    }
+
+    #[test]
+    fn a_worker_stops_at_its_first_panic() {
+        // At 4 workers, items 3 and 7 share worker 3: it stops at 3, so
+        // 7 never runs, while every other worker finishes its items.
+        let ran: Vec<std::sync::atomic::AtomicBool> = (0..12).map(|_| Default::default()).collect();
+        let err = par_map_indexed_with(4, (0..12u64).collect(), |i, x| {
+            ran[i].store(true, std::sync::atomic::Ordering::SeqCst);
+            assert!(i != 3 && i != 7, "boom at {i}");
+            x
+        })
+        .expect_err("must fail");
+        assert!(matches!(err, ParError::Panic { index: 3, .. }), "{err:?}");
+        let ran: Vec<bool> = ran
+            .iter()
+            .map(|r| r.load(std::sync::atomic::Ordering::SeqCst))
+            .collect();
+        let expect: Vec<bool> = (0..12).map(|i| i != 7 && i != 11).collect();
+        assert_eq!(ran, expect);
     }
 
     #[test]

@@ -46,8 +46,9 @@ fn worker_events_are_ordered_nested_and_attributed() {
     for threads in [1, 2, 4, 8] {
         let events = traced_run(threads, N);
 
-        // Item events arrive in input-index order: worker buffers are
-        // flushed by worker index and chunks are contiguous ascending.
+        // Item events arrive in input-index order: workers drain their
+        // buffers after every item and the merge replays the batches by
+        // input index, whichever worker ran them.
         let indices: Vec<u64> = events
             .iter()
             .filter(|e| e.name_matches("par.test.item"))
@@ -109,6 +110,25 @@ fn worker_events_are_ordered_nested_and_attributed() {
             u64_field(map_span, "workers"),
             Some(expected_workers as u64)
         );
+    }
+
+    // The assignment is strided: item i runs on worker i % workers, so
+    // its events carry thread = 1 + i % workers.
+    for threads in [2, 3, 8] {
+        let events = traced_run(threads, N);
+        let items: Vec<&Event> = events
+            .iter()
+            .filter(|e| e.name_matches("par.test.item"))
+            .collect();
+        assert_eq!(items.len(), N, "threads={threads}");
+        for e in items {
+            let i = u64_field(e, "index").expect("index field");
+            assert_eq!(
+                e.thread,
+                1 + i % threads as u64,
+                "threads={threads}: item {i} on the wrong worker"
+            );
+        }
     }
 
     // Same thread count, two runs: identical event-name sequence

@@ -15,7 +15,7 @@
 //! 3. [`flame::folded`] — folded-stack flamegraph export
 //!    (`a;b;leaf self_us`, consumable by `flamegraph.pl`/speedscope);
 //! 4. [`workers::Utilization`] — per-worker busy time, imbalance
-//!    ratio, and chunking skew from `par.worker` spans;
+//!    ratio, and item skew from `par.worker` spans;
 //! 5. [`diff::DiffReport`] — path-by-path latency comparison with a
 //!    ratio threshold and noise floor: the CI regression gate;
 //! 6. [`report`] — deterministic text and JSON rendering.

@@ -1,13 +1,14 @@
 //! Worker-utilization analysis over `par.worker` spans.
 //!
-//! `eadrl-par` records one `par.worker` span per chunk with the worker
-//! index, item count, and queue wait. Aggregating them per worker
-//! answers the two questions that matter for the thread pool: **is the
-//! work balanced** (imbalance ratio: slowest worker's busy time over
-//! the mean) and **is the chunking fair** (item skew: most-loaded
-//! worker's items over the mean). Static contiguous chunking should
-//! keep both near 1.0; a ratio well above it means one worker is
-//! carrying the map.
+//! `eadrl-par` records one `par.worker` span per worker and batch (a
+//! "chunk") with the worker index, item count, and queue wait.
+//! Aggregating them per worker answers the two questions that matter
+//! for the thread pool: **is the work balanced** (imbalance ratio:
+//! slowest worker's busy time over the mean) and **is the assignment
+//! fair** (item skew: most-loaded worker's items over the mean). A
+//! ratio well above 1.0 means one worker is carrying the map. Only
+//! spans whose leaf segment is `par.worker` count: spans nested under
+//! a worker (a `ddpg.episode` inside a restart) are work, not chunks.
 
 use crate::trace::Trace;
 use eadrl_obs::{EventKind, Value};
@@ -48,7 +49,8 @@ impl Utilization {
     pub fn analyze(trace: &Trace) -> Utilization {
         let mut by_worker: BTreeMap<u64, WorkerStats> = BTreeMap::new();
         for event in &trace.events {
-            if event.kind != EventKind::Span || !event.name_matches("par.worker") {
+            let leaf = event.name.rsplit('/').next();
+            if event.kind != EventKind::Span || leaf != Some("par.worker") {
                 continue;
             }
             let worker = u64_field(event, "worker");
@@ -151,6 +153,32 @@ mod tests {
         // Busy: 40 vs 10, mean 25 → 1.6. Items: 10 vs 6, mean 8 → 1.25.
         assert!((util.imbalance_ratio() - 1.6).abs() < 1e-12);
         assert!((util.item_skew() - 1.25).abs() < 1e-12);
+    }
+
+    #[test]
+    fn spans_nested_under_a_worker_are_not_chunks() {
+        let text = [
+            worker_span(0, 2, 30, 1),
+            Event::new(
+                "eadrl.fit/par.map/par.worker/ddpg.episode",
+                EventKind::Span,
+                Level::Info,
+            )
+            .field("duration_us", 20u64)
+            .to_json_line(),
+        ]
+        .join("\n");
+        let util = Utilization::analyze(&Trace::from_jsonl(&text));
+        assert_eq!(
+            util.workers,
+            vec![WorkerStats {
+                worker: 0,
+                chunks: 1,
+                items: 2,
+                busy_us: 30,
+                queue_wait_us: 1
+            }]
+        );
     }
 
     #[test]

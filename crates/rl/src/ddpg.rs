@@ -420,12 +420,12 @@ impl DdpgAgent {
             // input-gradient GEMM (parameter gradients are bitwise identical).
             self.critic.backward_batch_weights_only(&self.bufs.grad_q);
         }
-        let critic_grad_norm = eadrl_obs::enabled(Level::Debug).then(|| self.critic.grad_norm());
-        {
+        let critic_grad_norm = {
             let _phase = eadrl_obs::span_at(Level::Trace, "ddpg.optimizer");
-            self.critic.clip_grad_norm(5.0);
+            let norm = self.critic.clip_grad_norm(5.0);
             self.critic_opt.step(&mut self.critic);
-        }
+            eadrl_obs::enabled(Level::Debug).then_some(norm)
+        };
 
         // ---- Actor update: ascend ∇_θ Q(s, π_θ(s)).
         self.actor.zero_grad();
@@ -484,12 +484,12 @@ impl DdpgAgent {
             let _phase = eadrl_obs::span_at(Level::Trace, "actor.backward");
             self.actor.backward_batch_weights_only(&self.bufs.grad_raw);
         }
-        let actor_grad_norm = eadrl_obs::enabled(Level::Debug).then(|| self.actor.grad_norm());
-        {
+        let actor_grad_norm = {
             let _phase = eadrl_obs::span_at(Level::Trace, "ddpg.optimizer");
-            self.actor.clip_grad_norm(5.0);
+            let norm = self.actor.clip_grad_norm(5.0);
             self.actor_opt.step(&mut self.actor);
-        }
+            eadrl_obs::enabled(Level::Debug).then_some(norm)
+        };
 
         {
             let _phase = eadrl_obs::span_at(Level::Trace, "ddpg.polyak");

@@ -58,10 +58,10 @@ pub fn update_per_sample(agent: &mut DdpgAgent) -> Option<UpdateStats> {
         let g = 2.0 * err / n as f64;
         agent.critic.backward(&[g]);
     }
-    // Gradient norms are only interesting to traces; skip the extra
-    // parameter sweep unless debug telemetry is on.
-    let critic_grad_norm = eadrl_obs::enabled(Level::Debug).then(|| agent.critic.grad_norm());
-    agent.critic.clip_grad_norm(5.0);
+    // Gradient norms are only interesting to traces: report the
+    // pre-clip norm the clip computes anyway, and only at debug level.
+    let norm = agent.critic.clip_grad_norm(5.0);
+    let critic_grad_norm = eadrl_obs::enabled(Level::Debug).then_some(norm);
     agent.critic_opt.step(&mut agent.critic);
 
     // ---- Actor update: ascend ∇_θ Q(s, π_θ(s)).
@@ -86,8 +86,8 @@ pub fn update_per_sample(agent: &mut DdpgAgent) -> Option<UpdateStats> {
         }
         agent.actor.backward(&grad_raw);
     }
-    let actor_grad_norm = eadrl_obs::enabled(Level::Debug).then(|| agent.actor.grad_norm());
-    agent.actor.clip_grad_norm(5.0);
+    let norm = agent.actor.clip_grad_norm(5.0);
+    let actor_grad_norm = eadrl_obs::enabled(Level::Debug).then_some(norm);
     agent.actor_opt.step(&mut agent.actor);
     agent.critic.zero_grad(); // discard scratch gradients
 

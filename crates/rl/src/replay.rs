@@ -50,14 +50,16 @@ pub struct ReplayBuffer {
     capacity: usize,
     storage: Vec<Transition>,
     next_slot: usize,
-    /// Cached reward median; `None` marks it stale. Every `push`
-    /// invalidates it, every diversity `sample` refreshes it at most
-    /// once — so an update step that samples without pushing in between
-    /// pays for one sort, not one per call.
-    median_cache: Option<f64>,
-    /// Reusable scratch for the median sort (cleared, capacity kept).
-    sort_scratch: Vec<f64>,
-    /// Reusable index pools for the median split (cleared, capacity kept).
+    /// Rewards in storage order: `rewards[i] == storage[i].reward`, so
+    /// the median split scans a dense column, not the transitions.
+    rewards: Vec<f64>,
+    /// The stored rewards in ascending [`f64::total_cmp`] order, kept up
+    /// to date by `push` (binary-search insert, exact removal of the
+    /// evicted reward), so the median is an O(1) read. `None` once a NaN
+    /// reward arrives: the buffer then sorts a copy for every median.
+    sorted: Option<Vec<f64>>,
+    /// Reusable index pools for the median split, sized to the buffer;
+    /// a split uses the prefix of each that it filled.
     high: Vec<usize>,
     low: Vec<usize>,
 }
@@ -74,8 +76,8 @@ impl ReplayBuffer {
             capacity,
             storage: Vec::with_capacity(capacity.min(4096)),
             next_slot: 0,
-            median_cache: None,
-            sort_scratch: Vec::new(),
+            rewards: Vec::with_capacity(capacity.min(4096)),
+            sorted: Some(Vec::with_capacity(capacity.min(4096))),
             high: Vec::new(),
             low: Vec::new(),
         }
@@ -98,23 +100,41 @@ impl ReplayBuffer {
 
     /// Stores a transition, overwriting the oldest once at capacity.
     pub fn push(&mut self, t: Transition) {
-        self.median_cache = None;
-        if self.storage.len() < self.capacity {
+        let reward = t.reward;
+        let evicted = if self.storage.len() < self.capacity {
             self.storage.push(t);
+            self.rewards.push(reward);
+            None
         } else {
-            self.storage[self.next_slot] = t;
-            self.next_slot = (self.next_slot + 1) % self.capacity;
+            let slot = self.next_slot;
+            self.storage[slot] = t;
+            self.next_slot = (slot + 1) % self.capacity;
+            Some(std::mem::replace(&mut self.rewards[slot], reward))
+        };
+        if reward.is_nan() {
+            self.sorted = None;
+        }
+        if let Some(sorted) = self.sorted.as_mut() {
+            // No NaN has ever been stored, so `total_cmp` finds the
+            // evicted reward's exact bit pattern.
+            if let Some(old) = evicted {
+                if let Ok(at) = sorted.binary_search_by(|x| x.total_cmp(&old)) {
+                    sorted.remove(at);
+                }
+            }
+            let at = sorted.partition_point(|x| x.total_cmp(&reward).is_lt());
+            sorted.insert(at, reward);
         }
     }
 
     /// Draws `n` transitions (with replacement) using `strategy`.
     ///
-    /// Takes `&mut self` so diversity sampling can use (and refresh) the
-    /// cached reward median instead of sorting the buffer on every call.
-    /// The minibatches are bitwise-identical to the uncached
-    /// implementation: the cached median is produced by the exact same
-    /// sort-and-pick as [`Self::reward_median`], and the RNG draw
-    /// sequence is unchanged.
+    /// Takes `&mut self` so diversity sampling can reuse its index
+    /// pools. The median comes from the sorted reward copy that `push`
+    /// maintains; it can differ from a fresh stable sort only in the
+    /// sign of a zero median, which no `>=` comparison sees, so the
+    /// split and the RNG draw sequence are those of sorting on every
+    /// call.
     ///
     /// Diversity sampling degrades gracefully: when every reward equals the
     /// median (e.g. constant rewards) one of the halves would be empty, and
@@ -133,19 +153,24 @@ impl ReplayBuffer {
                 .map(|_| &self.storage[rng.random_range(0..self.storage.len())])
                 .collect(),
             SamplingStrategy::Diversity => {
-                let median = self.median_cached();
-                self.high.clear();
-                self.low.clear();
-                for i in 0..self.storage.len() {
-                    if self.storage[i].reward >= median {
-                        self.high.push(i);
-                    } else {
-                        self.low.push(i);
-                    }
+                let median = self.median();
+                let len = self.rewards.len();
+                self.high.resize(len, 0);
+                self.low.resize(len, 0);
+                // Branch-free split: write the index to both pools and
+                // advance only the one the comparison selects.
+                let (mut n_high, mut n_low) = (0, 0);
+                for (i, &reward) in self.rewards.iter().enumerate() {
+                    let up = reward >= median;
+                    self.high[n_high] = i;
+                    self.low[n_low] = i;
+                    n_high += usize::from(up);
+                    n_low += usize::from(!up);
                 }
                 let mut out = Vec::with_capacity(n);
                 let half = n / 2;
-                for (pool, count) in [(&self.high, half), (&self.low, n - half)] {
+                for (pool, count) in [(&self.high[..n_high], half), (&self.low[..n_low], n - half)]
+                {
                     for _ in 0..count {
                         let idx = if pool.is_empty() {
                             rng.random_range(0..self.storage.len())
@@ -160,18 +185,13 @@ impl ReplayBuffer {
         }
     }
 
-    /// Cached reward median: recomputed (into reusable scratch) only when
-    /// a `push` since the last call invalidated it.
-    fn median_cached(&mut self) -> f64 {
-        if let Some(m) = self.median_cache {
-            return m;
+    /// The reward median the split uses: an O(1) read of the sorted
+    /// copy, or a fresh sort once a NaN dropped it.
+    fn median(&self) -> f64 {
+        match &self.sorted {
+            Some(sorted) => median_of_sorted(sorted),
+            None => self.reward_median(),
         }
-        self.sort_scratch.clear();
-        self.sort_scratch
-            .extend(self.storage.iter().map(|t| t.reward));
-        let m = median_of_unsorted(&mut self.sort_scratch);
-        self.median_cache = Some(m);
-        m
     }
 
     /// Fraction of stored transitions whose reward is at or above the
@@ -182,31 +202,34 @@ impl ReplayBuffer {
         if self.storage.is_empty() {
             return f64::NAN;
         }
-        let median = self.reward_median();
-        let above = self.storage.iter().filter(|t| t.reward >= median).count();
+        let median = self.median();
+        let above = self.rewards.iter().filter(|&&r| r >= median).count();
         above as f64 / self.storage.len() as f64
     }
 
     /// Median of the stored rewards (`NaN` when empty).
     ///
-    /// Always recomputes (it takes `&self`); the training loop goes
-    /// through the cached variant inside [`Self::sample`] instead.
+    /// Always recomputes with a fresh sort (it is the reference the
+    /// maintained sorted copy is tested against).
     pub fn reward_median(&self) -> f64 {
-        let mut rewards: Vec<f64> = self.storage.iter().map(|t| t.reward).collect();
+        let mut rewards = self.rewards.clone();
         median_of_unsorted(&mut rewards)
     }
 }
 
 /// Sorts `rewards` in place and returns the median (`NaN` when empty).
-/// Single definition shared by the cached and uncached paths so they are
-/// bitwise-identical by construction.
 fn median_of_unsorted(rewards: &mut [f64]) -> f64 {
-    if rewards.is_empty() {
-        return f64::NAN;
-    }
     rewards.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+    median_of_sorted(rewards)
+}
+
+/// Median of an ascending slice (`NaN` when empty). Single definition
+/// shared by the maintained and the freshly sorted paths.
+fn median_of_sorted(rewards: &[f64]) -> f64 {
     let n = rewards.len();
-    if n % 2 == 1 {
+    if n == 0 {
+        f64::NAN
+    } else if n % 2 == 1 {
         rewards[n / 2]
     } else {
         0.5 * (rewards[n / 2 - 1] + rewards[n / 2])
@@ -347,9 +370,8 @@ mod tests {
                     .iter()
                     .map(|x| x.reward)
                     .collect();
-                // The reference recomputes from scratch every time: it is
-                // never sampled directly, so its own cache stays invalid
-                // (push clears it) and every clone starts cold.
+                // The reference is a fresh clone sampled once per call,
+                // so reusing state across samples cannot mask a drift.
                 let b: Vec<f64> = reference
                     .clone()
                     .sample(4, SamplingStrategy::Diversity, &mut rng_r)
@@ -358,7 +380,84 @@ mod tests {
                     .collect();
                 assert_eq!(a, b, "cached vs recomputed diverged at step {step}");
             }
-            assert_eq!(cached.median_cached(), cached.reward_median());
+            assert_eq!(cached.median(), cached.reward_median());
+        }
+    }
+
+    /// Diversity sampling as it was before the sorted copy: a stable
+    /// `partial_cmp` sort of every reward on every call, then the same
+    /// split and the same draws.
+    fn sort_every_call_sample(rewards: &[f64], n: usize, rng: &mut DetRng) -> Vec<f64> {
+        let mut sorted = rewards.to_vec();
+        let median = median_of_unsorted(&mut sorted);
+        let (mut high, mut low) = (Vec::new(), Vec::new());
+        for (i, &reward) in rewards.iter().enumerate() {
+            if reward >= median {
+                high.push(i);
+            } else {
+                low.push(i);
+            }
+        }
+        let half = n / 2;
+        let mut out = Vec::new();
+        for (pool, count) in [(&high, half), (&low, n - half)] {
+            for _ in 0..count {
+                let idx = if pool.is_empty() {
+                    rng.random_range(0..rewards.len())
+                } else {
+                    pool[rng.random_range(0..pool.len())]
+                };
+                out.push(rewards[idx]);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn sorted_copy_matches_a_sort_every_call_reference() {
+        // A 5-slot ring driven through many overwrites of signed-zero
+        // ties and repeats, then a NaN (which drops the sorted copy).
+        let cycle = [0.0, -0.0, 1.5, -0.0, -2.0, 0.0, 1.5, 3.0, -0.0];
+        let mut buf = ReplayBuffer::new(5);
+        let mut ring: Vec<f64> = Vec::new();
+        let mut rng_buf = DetRng::seed_from_u64(11);
+        let mut rng_ref = DetRng::seed_from_u64(11);
+        for step in 0..60 {
+            let reward = if step == 40 {
+                f64::NAN
+            } else {
+                cycle[step % cycle.len()]
+            };
+            buf.push(t(reward));
+            if ring.len() < 5 {
+                ring.push(reward);
+            } else {
+                ring[(step - 5) % 5] = reward;
+            }
+            assert_eq!(buf.sorted.is_some(), step < 40, "step {step}");
+            if let Some(sorted) = &buf.sorted {
+                let mut expect = ring.clone();
+                expect.sort_by(f64::total_cmp);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(sorted), bits(&expect), "step {step}");
+            }
+            let mut reference = ring.clone();
+            let median = median_of_unsorted(&mut reference);
+            let got = buf.median();
+            assert!(
+                got == median || (got.is_nan() && median.is_nan()),
+                "step {step}"
+            );
+            let drawn: Vec<u64> = buf
+                .sample(6, SamplingStrategy::Diversity, &mut rng_buf)
+                .iter()
+                .map(|x| x.reward.to_bits())
+                .collect();
+            let expect: Vec<u64> = sort_every_call_sample(&ring, 6, &mut rng_ref)
+                .iter()
+                .map(|x| x.to_bits())
+                .collect();
+            assert_eq!(drawn, expect, "step {step}");
         }
     }
 
